@@ -91,11 +91,17 @@ def _leq_rank(u: Permutation, w: Permutation) -> bool:
     )
 
 
-def _leq_bubble(u: Permutation, w: Permutation) -> bool:
+@functools.lru_cache(maxsize=256)
+def _bubble_constraints(w: Permutation) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, R_w[i][j]) over the bubble squares of w, computed once per w."""
     wr = rank_matrix(w)
+    return tuple((i, j, wr[i - 1][j - 1]) for i, j in sorted(bubbles(w)))
+
+
+def _leq_bubble(u: Permutation, w: Permutation) -> bool:
     uw = u.word
-    for i, j in bubbles(w):
-        if sum(1 for m in range(i) if uw[m] >= j) > wr[i - 1][j - 1]:
+    for i, j, bound in _bubble_constraints(w):
+        if sum(1 for m in range(i) if uw[m] >= j) > bound:
             return False
     return True
 
@@ -166,8 +172,7 @@ def interval(w: Permutation, method: str = "auto") -> list[Permutation]:
     if method == "bfs":
         return [Permutation(word) for word in sorted(distances_from(w))]
     if method == "filter":
-        wr = rank_matrix(w)
-        constraints = [(i, j, wr[i - 1][j - 1]) for i, j in sorted(bubbles(w))]
+        constraints = _bubble_constraints(w)
         out = []
         for u in all_permutations(w.n):
             uw = u.word

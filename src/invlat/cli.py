@@ -1,13 +1,15 @@
 """Command-line front end: analyze one permutation, verify a property over
 all of S_n, or replay the frozen 4132 reference data.
 
-Exit codes: 0 all pass, 1 property failure, 2 usage error.
+Exit codes: 0 all pass, 1 property failure, 2 usage error, 141 when the
+reader of standard output goes away (as the shell reports a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Any, Optional
@@ -36,7 +38,7 @@ from invlat.permutation import (
     record_positions,
     reduced_expression,
 )
-from invlat.phimap import phi_table, verify_injective, verify_surjective
+from invlat.phimap import is_injective, missed_elements, phi_table
 
 
 def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
@@ -55,10 +57,10 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     br = interval_size(w)
     smooth = is_smooth(w)
     avoiding = is_chromobruhatic(w)
-    table = phi_table(w, expr, check=phi_checks)
-    images = [entry.image for entry in table]
-    injective = len(set(images)) == len(images)
-    surjective, missed = verify_surjective(w, expr)
+    table = phi_table(w, check=phi_checks, lattice=lattice)
+    injective = is_injective(table)
+    missed = missed_elements(w, table)
+    surjective = not missed
 
     report: dict[str, Any] = {
         "schema_version": 1,
@@ -272,6 +274,24 @@ def _cmd_golden(args) -> int:
     return 0 if ok else 1
 
 
+EXIT_BROKEN_PIPE = 141
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invlat",
@@ -300,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", required=True, choices=sorted(verify_mod.CHECKS)
     )
     p_verify.add_argument("--n", required=True, type=int)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_verify.add_argument(
         "--expr",
         choices=("canonical", "all"),
@@ -310,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
         "--max-counterexamples",
-        type=int,
+        type=_int_at_least(0),
         default=verify_mod.DEFAULT_COUNTEREXAMPLE_CAP,
     )
     p_verify.add_argument("--all-counterexamples", action="store_true")
@@ -327,7 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at /dev/null so the flush at
+        # interpreter exit cannot raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from invlat.chromatic import (
     distance_poly,
     opy_chromatic,
 )
-from invlat.lattice import build_lattice, decreasing_chains, mobius_values
+from invlat.lattice import build_lattice, mobius_values
 from invlat.permutation import Permutation, opy_exponents, reduced_expression
-from invlat.phimap import phi_table, verify_injective, verify_surjective
+from invlat.phimap import is_injective, missed_elements, phi_table
 
 GOLDEN_WORD = "4132"
 GOLDEN_EXPRESSION = (1, 2, 3, 2)
@@ -103,15 +103,13 @@ def generate() -> dict[str, Any]:
     """Recompute every golden quantity from scratch, in the fixture's shape."""
     w = Permutation((4, 1, 3, 2))
     lattice = build_lattice(w, GOLDEN_EXPRESSION)
-    chains = decreasing_chains(lattice)
     mu = mobius_values(lattice)
-    table = phi_table(w, GOLDEN_EXPRESSION)
+    table = phi_table(w, lattice=lattice)
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
     betti = [0] * (lattice.max_rank() + 1)
     for x, value in mu.items():
         betti[x.rank] += value
-    surjective, _missed = verify_surjective(w, GOLDEN_EXPRESSION)
     return {
         "w": str(w),
         "expression": list(GOLDEN_EXPRESSION),
@@ -139,8 +137,8 @@ def generate() -> dict[str, Any]:
         "distance_text": dpoly.text("q"),
         "distance_coeffs": dpoly.to_json(),
         "identity_holds": dpoly == chi_distance_transform(chi, w.n),
-        "injective": verify_injective(w, GOLDEN_EXPRESSION),
-        "surjective": surjective,
+        "injective": is_injective(table),
+        "surjective": not missed_elements(w, table),
     }
 
 

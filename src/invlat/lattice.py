@@ -6,6 +6,13 @@ in the graph, ordered by refinement.  An ordering H_1 > H_2 > ... > H_k of
 the hyperplanes, read off a reduced expression, induces the edge labelling
 whose strictly decreasing chains from the bottom count the regions of the
 arrangement.
+
+Internally an element is a tuple of block bitmasks (bit v-1 stands for
+point v).  The lattice grows rank by rank from the singletons: merging two
+blocks of an element gives one of its covers exactly when some inversion
+edge crosses them, and the cover's label is the largest hyperplane index
+among the crossing edges.  Each element is turned into a ``SetPartition``
+once, for ordering, chains and printing.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from invlat.chromatic import chromatic_of
 from invlat.permutation import (
     Permutation,
     Transposition,
@@ -44,42 +52,6 @@ class SetPartition:
     def rank(self) -> int:
         """Codimension of the corresponding subspace: n minus block count."""
         return self.n - len(self.blocks)
-
-    def block_index(self) -> dict[int, int]:
-        return {v: k for k, b in enumerate(self.blocks) for v in b}
-
-    def together(self, a: int, b: int) -> bool:
-        idx = self.block_index()
-        return idx[a] == idx[b]
-
-    def merge(self, i: int, j: int) -> "SetPartition":
-        """Partition with blocks i and j merged."""
-        blocks = [b for k, b in enumerate(self.blocks) if k not in (i, j)]
-        blocks.append(self.blocks[i] + self.blocks[j])
-        return SetPartition(self.n, blocks)
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Common coarsening, via union-find over both block families."""
-        parent = list(range(self.n + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for part in (self, other):
-            for block in part.blocks:
-                for v in block[1:]:
-                    parent[find(v)] = find(block[0])
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.n + 1):
-            groups.setdefault(find(v), []).append(v)
-        return SetPartition(self.n, groups.values())
-
-    def refines(self, other: "SetPartition") -> bool:
-        idx = other.block_index()
-        return all(idx[b[0]] == idx[v] for b in self.blocks for v in b[1:])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -123,12 +95,19 @@ class DecreasingChain:
         return "".join(f"t{j}" for j in self.labels) if self.labels else "-"
 
 
+def _points(mask: int) -> tuple[int, ...]:
+    """The 1-based points of a block bitmask, ascending."""
+    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 class IntersectionLattice:
     """Bond lattice of the inversion graph, with covers, labels and Mobius data.
 
     ``hyperplanes[i]`` is the transposition of H_{i+1}; hyperplane order is
     H_1 > H_2 > ... > H_k, so the label of a cover is the *largest* index
-    among the hyperplanes first merged by it.
+    among the hyperplanes first merged by it.  ``elements`` is sorted by
+    (rank, blocks) and ``masks[i]`` holds the block bitmasks of
+    ``elements[i]``.
     """
 
     def __init__(self, w: Permutation, expression: tuple[int, ...]):
@@ -141,65 +120,66 @@ class IntersectionLattice:
             raise ValueError(
                 f"{expression!r} is not a reduced expression for {w}"
             )
+        self._chains: Optional[tuple[DecreasingChain, ...]] = None
         self._build()
 
     def _build(self) -> None:
         n = self.w.n
-        bottom = SetPartition.singletons(n)
-        atoms = [
-            SetPartition(n, [(t.i, t.j)] + [(v,) for v in range(1, n + 1) if v not in t])
-            for t in self.hyperplanes
-        ]
-        # Join closure starting from the atoms.
-        elements = {bottom} | set(atoms)
-        frontier = list(dict.fromkeys(atoms))
-        while frontier:
+        edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in self.hyperplanes]
+
+        # Label of merging blocks a < b, memoised on the pair; 0 when no
+        # edge crosses them.
+        merge_labels: dict[int, int] = {}
+
+        def merge_label(a: int, b: int) -> int:
+            key = a << n | b
+            label = merge_labels.get(key)
+            if label is None:
+                label = 0
+                for i in range(len(edges), 0, -1):
+                    e = edges[i - 1]
+                    if e & a and e & b:
+                        label = i
+                        break
+                merge_labels[key] = label
+            return label
+
+        # Elements keyed by their numerically sorted block masks.
+        bottom = tuple(1 << v for v in range(n))
+        ups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        level = [bottom]
+        while level:
             nxt = []
-            for x in frontier:
-                for a in atoms:
-                    y = x.join(a)
-                    if y not in elements:
-                        elements.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        self.elements: tuple[SetPartition, ...] = tuple(sorted(elements))
+            for x in level:
+                covers = ups[x] = []
+                for i, a in enumerate(x):
+                    for j in range(i + 1, len(x)):
+                        b = x[j]
+                        label = merge_label(a, b)
+                        if label:
+                            y = tuple(sorted(x[:i] + x[i + 1 : j] + x[j + 1 :] + (a | b,)))
+                            covers.append((y, label))
+                            if y not in ups:
+                                ups[y] = []
+                                nxt.append(y)
+            level = nxt
+
+        parts = {x: SetPartition(n, [_points(b) for b in x]) for x in ups}
+        keys = sorted(ups, key=lambda x: (n - len(x), parts[x].blocks))
+        position = {x: k for k, x in enumerate(keys)}
+
+        self.elements: tuple[SetPartition, ...] = tuple(parts[x] for x in keys)
+        self.masks: tuple[tuple[int, ...], ...] = tuple(keys)
         self.index: dict[SetPartition, int] = {
             x: k for k, x in enumerate(self.elements)
         }
-        self.bottom = bottom
-
-        # Covers: merging two blocks raises the rank by exactly one, so the
-        # covers of x are its two-block merges that land in the lattice.
-        covers_up: list[list[tuple[int, int]]] = [[] for _ in self.elements]
-        for x in self.elements:
-            xi = self.index[x]
-            for i in range(len(x.blocks)):
-                for j in range(i + 1, len(x.blocks)):
-                    y = x.merge(i, j)
-                    yi = self.index.get(y)
-                    if yi is not None:
-                        covers_up[xi].append((yi, self._label(x, y)))
-            covers_up[xi].sort()
+        self.bottom = self.elements[0]
         self.covers_up: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(c) for c in covers_up
+            tuple(sorted((position[y], label) for y, label in ups[x])) for x in keys
         )
-
-    def _label(self, lower: SetPartition, upper: SetPartition) -> int:
-        """Largest index i with H_i first contained at the upper element."""
-        for i in range(len(self.hyperplanes), 0, -1):
-            a, b = self.hyperplanes[i - 1]
-            if upper.together(a, b) and not lower.together(a, b):
-                return i
-        raise AssertionError(f"no hyperplane separates {lower} from {upper}")
-
-    def rank_of(self, x: SetPartition) -> int:
-        return x.rank
 
     def max_rank(self) -> int:
         return self.elements[-1].rank if self.elements else 0
-
-    def leq(self, x: SetPartition, y: SetPartition) -> bool:
-        return x.refines(y)
 
     def cover_labels(self) -> list[tuple[SetPartition, SetPartition, int]]:
         return [
@@ -221,13 +201,16 @@ def build_lattice(
     return IntersectionLattice(w, expr)
 
 
-def decreasing_chains(lattice: IntersectionLattice) -> list[DecreasingChain]:
+def decreasing_chains(lattice: IntersectionLattice) -> tuple[DecreasingChain, ...]:
     """All label-decreasing saturated chains from the bottom, every length
     included; ordered lexicographically by label sequence.
 
     Decreasing in the hyperplane order H_1 > ... > H_k means the integer
-    labels strictly increase along the chain.
+    labels strictly increase along the chain.  The chains are computed once
+    per lattice and shared by later calls.
     """
+    if lattice._chains is not None:
+        return lattice._chains
     out: list[DecreasingChain] = []
 
     def grow(idx: int, elements: tuple[SetPartition, ...], labels: tuple[int, ...]):
@@ -237,54 +220,51 @@ def decreasing_chains(lattice: IntersectionLattice) -> list[DecreasingChain]:
             if label > last:
                 grow(j, elements + (lattice.elements[j],), labels + (label,))
 
-    bottom_idx = lattice.index[lattice.bottom]
-    grow(bottom_idx, (lattice.bottom,), ())
+    grow(0, (lattice.bottom,), ())
     out.sort(key=lambda c: c.labels)
-    return out
+    lattice._chains = tuple(out)
+    return lattice._chains
 
 
 def mobius_values(lattice: IntersectionLattice) -> dict[SetPartition, int]:
     """|mu(bottom, x)| for every element, computed two independent ways.
 
-    The classical recursion over the order ideal must agree with the count
-    of decreasing chains ending at x; a mismatch means the lattice or its
-    labelling is built wrongly.
+    By Whitney's theorem (Rota 1964) the interval below x is the product of
+    the bond lattices of its blocks, so |mu(bottom, x)| is the product over
+    the blocks B of x of the absolute linear coefficient of the chromatic
+    polynomial of the induced graph G[B]; each block's factor is computed
+    once.  The count of decreasing chains ending at x must agree; a mismatch
+    means the lattice or its labelling is built wrongly.
     """
-    elements = lattice.elements
-    # Point -> block-id arrays make the refinement test a flat scan.
-    keys = {}
-    for x in elements:
-        arr = [0] * (lattice.w.n + 1)
-        for bid, block in enumerate(x.blocks):
-            for v in block:
-                arr[v] = bid
-        keys[x] = arr
+    word = lattice.w.word
+    block_values: dict[int, int] = {}
 
-    signed: dict[SetPartition, int] = {}
-    for x in elements:  # elements are sorted by rank, so ideals come first
-        if x == lattice.bottom:
-            signed[x] = 1
-            continue
-        kx = keys[x]
-        total = 0
-        for y in elements:
-            if y.rank >= x.rank:
-                break
-            if all(kx[b[0]] == kx[v] for b in y.blocks for v in b[1:]):
-                total += signed[y]
-        signed[x] = -total
+    def block_value(mask: int) -> int:
+        # G[B] is the inversion graph of the pattern w shows on the points of B.
+        value = block_values.get(mask)
+        if value is None:
+            values = [word[p - 1] for p in _points(mask)]
+            rank = {v: k for k, v in enumerate(sorted(values), 1)}
+            pattern = Permutation([rank[v] for v in values])
+            value = block_values[mask] = abs(chromatic_of(pattern).coefficient(1))
+        return value
 
-    by_chains: dict[SetPartition, int] = {x: 0 for x in elements}
+    by_chains = [0] * len(lattice.elements)
     for chain in decreasing_chains(lattice):
-        by_chains[chain.top] += 1
+        by_chains[lattice.index[chain.top]] += 1
 
-    for x in elements:
-        if abs(signed[x]) != by_chains[x]:
+    out: dict[SetPartition, int] = {}
+    for x, blocks, chains in zip(lattice.elements, lattice.masks, by_chains):
+        value = 1
+        for mask in blocks:
+            value *= block_value(mask)
+        if value != chains:
             raise RuntimeError(
-                f"Mobius mismatch at {x}: |{signed[x]}| by recursion vs "
-                f"{by_chains[x]} decreasing chains; lattice construction bug"
+                f"Mobius mismatch at {x}: {value} by the block product vs "
+                f"{chains} decreasing chains; lattice construction bug"
             )
-    return {x: abs(signed[x]) for x in elements}
+        out[x] = value
+    return out
 
 
 def betti_numbers(lattice: IntersectionLattice) -> tuple[int, ...]:

@@ -70,11 +70,7 @@ def is_chromobruhatic(w: Permutation) -> bool:
 
 def is_smooth(w: Permutation) -> bool:
     """True iff w avoids 3412 and 4231."""
-    smooth = not any(contains(w, p) for p in SMOOTH_PATTERNS)
-    # Each of the four patterns contains 3412 or 4231, so smoothness is the
-    # stronger condition.
-    assert not smooth or is_chromobruhatic(w)
-    return smooth
+    return not any(contains(w, p) for p in SMOOTH_PATTERNS)
 
 
 @dataclass(frozen=True)

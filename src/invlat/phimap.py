@@ -42,23 +42,26 @@ def phi(
     of p(C) are the blocks of the chain's top element.  Violations signal a
     labelling bug and raise.
     """
-    product = Permutation.identity(w.n)
+    word = list(range(1, w.n + 1))
     for j in chain.labels:
+        # Right-multiplying by (a b) swaps the values a and b.
         a, b = lattice.hyperplanes[j - 1]
-        product = product * Permutation.transposition(w.n, a, b)
+        word = [b if v == a else a if v == b else v for v in word]
+    product = Permutation(word)
     image = product * w
     if check:
         if not bruhat_leq(image, w):
             raise RuntimeError(f"phi image {image} is not below {w}")
-        if product.absolute_length() != chain.length:
+        cycles = product.cycles()
+        if w.n - len(cycles) != chain.length:
             raise RuntimeError(
-                f"absolute length {product.absolute_length()} != chain length "
+                f"absolute length {w.n - len(cycles)} != chain length "
                 f"{chain.length} for labels {chain.labels}"
             )
-        orbits = SetPartition(w.n, product.cycles())
-        if orbits != chain.top:
+        if tuple(tuple(sorted(c)) for c in cycles) != chain.top.blocks:
             raise RuntimeError(
-                f"orbit partition {orbits} differs from chain top {chain.top}"
+                f"orbit partition {SetPartition(w.n, cycles)} differs from "
+                f"chain top {chain.top}"
             )
     return PhiImage(chain, product, image)
 
@@ -67,18 +70,35 @@ def phi_table(
     w: Permutation,
     expression: Optional[Sequence[int]] = None,
     check: bool = True,
+    lattice: Optional[IntersectionLattice] = None,
 ) -> list[PhiImage]:
-    """The full chain-to-interval table, ordered by chain label sequence."""
-    lattice = build_lattice(w, expression)
+    """The full chain-to-interval table, ordered by chain label sequence.
+
+    ``lattice`` reuses w's lattice when the caller already built it;
+    otherwise it is built from ``expression``.
+    """
+    if lattice is None:
+        lattice = build_lattice(w, expression)
     return [phi(c, w, lattice, check=check) for c in decreasing_chains(lattice)]
+
+
+def is_injective(table: Sequence[PhiImage]) -> bool:
+    """Whether distinct chains of the table have distinct images."""
+    images = [entry.image for entry in table]
+    return len(set(images)) == len(images)
+
+
+def missed_elements(w: Permutation, table: Sequence[PhiImage]) -> tuple[Permutation, ...]:
+    """The elements of [e, w] outside the table's image, sorted."""
+    image = {entry.image for entry in table}
+    return tuple(sorted(u for u in interval(w) if u not in image))
 
 
 def verify_injective(
     w: Permutation, expression: Optional[Sequence[int]] = None
 ) -> bool:
     """Whether distinct decreasing chains map to distinct interval elements."""
-    images = [entry.image for entry in phi_table(w, expression)]
-    return len(set(images)) == len(images)
+    return is_injective(phi_table(w, expression))
 
 
 def verify_surjective(
@@ -88,8 +108,7 @@ def verify_surjective(
 
     Surjectivity is expected exactly when w avoids the four patterns.
     """
-    image = {entry.image for entry in phi_table(w, expression)}
-    missed = tuple(sorted(u for u in interval(w) if u not in image))
+    missed = missed_elements(w, phi_table(w, expression))
     return (not missed, missed)
 
 

@@ -467,6 +467,10 @@ def run_check(
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; options: {sorted(CHECKS)}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"the counterexample cap must be >= 0, got {cap}")
     ceiling = CHECK_CEILINGS[check]
     if expr == "all":
         if check != "phi-injective":

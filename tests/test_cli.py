@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,23 @@ class TestAnalyze:
         report = analyze(Permutation((4, 1, 3, 2)))
         assert report["re"] == 12
 
+    def test_analyze_builds_one_lattice(self, monkeypatch):
+        import invlat.cli
+        import invlat.phimap
+
+        builds = []
+        real = invlat.cli.build_lattice
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(invlat.cli, "build_lattice", counting)
+        monkeypatch.setattr(invlat.phimap, "build_lattice", counting)
+        report = analyze(Permutation((4, 2, 3, 1)))
+        assert len(builds) == 1
+        assert report["re"] == len(report["phi_table"]) == 18
+
 
 class TestVerifyCommand:
     def test_pass_exit_0(self, capsys):
@@ -135,6 +156,55 @@ class TestVerifyCommand:
         a.pop("elapsed_s")
         b.pop("elapsed_s")
         assert a == b
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "0"), ("--jobs", "-3"), ("--jobs", "two"),
+         ("--max-counterexamples", "-1"), ("--max-counterexamples", "1.5")],
+    )
+    def test_bad_integer_flag_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "opy", "--n", "3", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_cap_passing_run_not_truncated(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--check", "opy", "--n", "3",
+            "--max-counterexamples", "0", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["counterexamples"] == []
+        assert data["counterexamples_truncated"] is False
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "4132"], ["verify", "--check", "opy", "--n", "3"], ["golden"]],
+)
+def test_closed_pipe_exits_quietly(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "invlat.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # Closed before the child has written anything, so its first write fails.
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 141
+    assert err == ""
 
 
 class TestGoldenCommand:

@@ -1,7 +1,7 @@
 import pytest
 
 from invlat.bruhat import distances_from, interval
-from invlat.lattice import build_lattice, decreasing_chains
+from invlat.lattice import DecreasingChain, build_lattice, decreasing_chains
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, all_reduced_expressions
 from invlat.phimap import (
@@ -52,6 +52,22 @@ class TestPhi:
         entry = by_labels[(1, 2, 4)]
         assert str(entry.image) == "1243"
         assert entry.product.cycle_string() == "(1 2 4 3)"
+
+    def test_eager_checks_catch_bad_chains(self):
+        lattice = build_lattice(W4132, (1, 2, 3, 2))
+        chain = {c.labels: c for c in decreasing_chains(lattice)}[(1, 2, 4)]
+        # Labels out of order: t2 t1 w = 3412 is not below 4132.
+        with pytest.raises(RuntimeError, match="not below"):
+            phi(DecreasingChain(chain.elements[:3], (2, 1)), W4132, lattice)
+        # A repeated reflection: t1 t2 t2 = t1 has absolute length 1, not 3.
+        with pytest.raises(RuntimeError, match="absolute length"):
+            phi(DecreasingChain(chain.elements, (1, 2, 2)), W4132, lattice)
+        # The product (1 2 4 3) has one orbit, but this chain tops out at 134|2.
+        wrong_top = chain.elements[:-1] + (lattice.elements[-2],)
+        with pytest.raises(RuntimeError, match="orbit partition"):
+            phi(DecreasingChain(wrong_top, chain.labels), W4132, lattice)
+        unchecked = phi(DecreasingChain(wrong_top, chain.labels), W4132, lattice, check=False)
+        assert str(unchecked.image) == "1243"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eager_invariants_hold(self, n):

@@ -20,6 +20,12 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="accepts"):
             verify.run_check("phi-injective", 5, expr="all")
 
+    def test_jobs_and_cap_bounds(self):
+        with pytest.raises(ValueError, match="jobs"):
+            verify.run_check("opy", 3, jobs=0)
+        with pytest.raises(ValueError, match="cap"):
+            verify.run_check("opy", 3, cap=-1)
+
     @pytest.mark.parametrize("check", sorted(verify.CHECKS))
     def test_all_checks_pass_small(self, check):
         report = verify.run_check(check, 4)
