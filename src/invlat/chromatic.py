@@ -125,106 +125,16 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-# ---------------------------------------------------------------------------
-# Canonical graph keys and the shared memo cache.
-
-# Beyond this many candidate orderings the canonical search falls back to a
-# labelled key, which is still sound for caching but shares less.
-_CANON_CAP = 40320
-
-# Shared across workers; dict reads and setdefault are atomic under the GIL.
-_chi_cache: dict = {}
-
-
-def _wl_classes(masks: Sequence[int]) -> list[list[int]]:
-    """Vertex classes from iterated degree/neighborhood refinement, in an
-    isomorphism-invariant order."""
-    v = len(masks)
-    colors = [m.bit_count() for m in masks]
-    while True:
-        sigs = []
-        for i in range(v):
-            nb = []
-            m = masks[i]
-            while m:
-                b = m & -m
-                m ^= b
-                nb.append(colors[b.bit_length() - 1])
-            sigs.append((colors[i], tuple(sorted(nb))))
-        order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    return [classes[c] for c in sorted(classes)]
-
-
-def _relabel(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    pos = {old: new for new, old in enumerate(order)}
-    out = []
-    for old in order:
-        nm = 0
-        m = masks[old]
-        while m:
-            b = m & -m
-            m ^= b
-            nm |= 1 << pos[b.bit_length() - 1]
-        out.append(nm)
-    return tuple(out)
-
-
-def _canon_component(masks: Sequence[int]) -> tuple:
-    v = len(masks)
-    edge_count = sum(m.bit_count() for m in masks) // 2
-    if edge_count == 0:
-        return ("n", v)
-    if edge_count == v * (v - 1) // 2:
-        return ("k", v)
-    classes = _wl_classes(masks)
-    total = 1
-    for cls in classes:
-        for i in range(2, len(cls) + 1):
-            total *= i
-        if total > _CANON_CAP:
-            return ("lab", v, tuple(masks))
-    best = None
-    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
-        order = [i for cls in perms for i in cls]
-        key = _relabel(masks, order)
-        if best is None or key < best:
-            best = key
-    return ("c", v, best)
-
-
-def canonical_graph_key(masks: Sequence[int]) -> tuple:
-    """A cache key equal for isomorphic graphs (up to a rare labelled
-    fallback for very symmetric components, which only costs cache sharing,
-    never correctness)."""
-    from invlat._kernels_py import _components, _induced  # reuse the helpers
-
-    comps = _components(list(masks))
-    keys = sorted(_canon_component(_induced(list(masks), c)) for c in comps)
-    return (len(masks), tuple(keys))
-
-
 def chromatic_polynomial(g: InversionGraph) -> IntPoly:
     """Chromatic polynomial of the inversion graph, by memoized
     deletion-contraction.
 
-    Monic of degree n with alternating-sign coefficients; results are cached
-    under a canonical graph key, which is the main lever when sweeping all
-    of S_n.
+    Monic of degree n with alternating-sign coefficients.  The kernel runs
+    on the labelled adjacency masks with one memo shared by every call in
+    the process, so a sweep over S_n, or the per-block polynomials of one
+    lattice, reuse each other's sub-graphs.
     """
-    masks = g.adjacency_masks()
-    key = canonical_graph_key(masks)
-    coeffs = _chi_cache.get(key)
-    if coeffs is None:
-        coeffs = kernels.chromatic_coeffs(masks)
-        coeffs = _chi_cache.setdefault(key, coeffs)
-    return IntPoly(coeffs)
+    return IntPoly(kernels.chromatic_coeffs(g.adjacency_masks()))
 
 
 def chromatic_of(w: Permutation) -> IntPoly:

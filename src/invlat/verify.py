@@ -2,9 +2,12 @@
 
 Each check scans the whole symmetric group (lexicographically, optionally
 fanned out over worker threads in contiguous blocks with a deterministic
-merge) and reports counterexamples.  Worker count never changes a report,
-only the elapsed time; the only shared mutable state is the chromatic
-polynomial cache, which tolerates concurrent readers and writers.
+merge) and reports counterexamples.  Each check computes its per-permutation
+data once, for the failure test and the payload counters together.  Worker
+count never changes a report, only the elapsed time; the only shared mutable
+state is the process-wide deletion-contraction memo of ``invlat.kernels``,
+which every sweep shares and which tolerates concurrent readers and writers
+(a race at worst computes an entry twice, with the same value).
 """
 
 from __future__ import annotations
@@ -129,14 +132,14 @@ def _pmap(fn: Callable, items: list, jobs: int) -> list:
     return [r for chunk in chunks for r in chunk]
 
 
-def _run_per_w(n: int, jobs: int, one: Callable[[Permutation], Optional[dict]],
-               counters: Callable[[Permutation], dict] = lambda w: {}) -> _Scan:
+def _run_per_w(
+    n: int,
+    jobs: int,
+    one: Callable[[Permutation], tuple[Optional[dict], dict[str, int]]],
+) -> _Scan:
+    """Scan S_n with ``one(w) -> (failure or None, payload counts)``."""
     scan = _Scan()
-
-    def wrapped(w: Permutation):
-        return (one(w), counters(w))
-
-    for failure, counts in _pmap(wrapped, list(all_permutations(n)), jobs):
+    for failure, counts in _pmap(one, list(all_permutations(n)), jobs):
         if failure is not None:
             scan.failures.append(failure)
         for key, amount in counts.items():
@@ -150,15 +153,10 @@ def _check_conjecture_a(n: int, jobs: int, options: dict) -> _Scan:
     def one(w: Permutation):
         re = acyclic_orientations(InversionGraph.of(w))
         br = sizes[w.word]
-        if re > br:
-            return {"w": str(w), "re": re, "br": br}
-        return None
+        failure = {"w": str(w), "re": re, "br": br} if re > br else None
+        return failure, {"equal": int(re == br)}
 
-    def counters(w: Permutation):
-        re = acyclic_orientations(InversionGraph.of(w))
-        return {"equal": int(re == sizes[w.word])}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 def _check_conjecture_b(n: int, jobs: int, options: dict) -> _Scan:
@@ -168,20 +166,18 @@ def _check_conjecture_b(n: int, jobs: int, options: dict) -> _Scan:
         re = acyclic_orientations(InversionGraph.of(w))
         br = sizes[w.word]
         avoiding = is_chromobruhatic(w)
+        failure = None
         if (re == br) != avoiding:
-            return {"w": str(w), "re": re, "br": br, "avoiding": avoiding}
-        return None
+            failure = {"w": str(w), "re": re, "br": br, "avoiding": avoiding}
+        return failure, {"avoiding": int(avoiding)}
 
-    def counters(w: Permutation):
-        return {"avoiding": int(is_chromobruhatic(w))}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 def _check_phi_injective(n: int, jobs: int, options: dict) -> _Scan:
     expr_mode = options.get("expr", "canonical")
 
-    def one(w: Permutation):
+    def failure(w: Permutation):
         if expr_mode == "canonical":
             if not verify_injective(w):
                 return {"w": str(w), "expression": "canonical"}
@@ -191,44 +187,42 @@ def _check_phi_injective(n: int, jobs: int, options: dict) -> _Scan:
                 return {"w": str(w), "expression": list(expr)}
         return None
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
 
 
 def _check_phi_surjective_iff(n: int, jobs: int, options: dict) -> _Scan:
     def one(w: Permutation):
         surjective, missed = verify_surjective(w)
         avoiding = is_chromobruhatic(w)
+        failure = None
         if surjective != avoiding:
-            return {
+            failure = {
                 "w": str(w),
                 "surjective": surjective,
                 "avoiding": avoiding,
                 "missed": [str(u) for u in missed[:5]],
             }
-        return None
+        return failure, {"avoiding": int(avoiding)}
 
-    def counters(w: Permutation):
-        return {"avoiding": int(is_chromobruhatic(w))}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 def _check_going_down(n: int, jobs: int, options: dict) -> _Scan:
-    def one(w: Permutation):
+    def failure(w: Permutation):
         if not verify_going_down(w):
             return {"w": str(w)}
         return None
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
 
 
 def _check_characterization(n: int, jobs: int, options: dict) -> _Scan:
-    def one(w: Permutation):
+    def failure(w: Permutation):
         if not verify_characterization(w):
             return {"w": str(w), "avoiding": is_chromobruhatic(w)}
         return None
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
 
 
 def _betti_failures(w: Permutation) -> Optional[dict]:
@@ -275,49 +269,45 @@ def _betti_failures(w: Permutation) -> Optional[dict]:
 
 def _check_betti(n: int, jobs: int, options: dict) -> _Scan:
     def one(w: Permutation):
-        if not is_chromobruhatic(w):
-            return None
-        return _betti_failures(w)
+        avoiding = is_chromobruhatic(w)
+        failure = _betti_failures(w) if avoiding else None
+        return failure, {"avoiding": int(avoiding)}
 
-    def counters(w: Permutation):
-        return {"avoiding": int(is_chromobruhatic(w))}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 def _check_chromatic_identity(n: int, jobs: int, options: dict) -> _Scan:
-    def one(w: Permutation):
+    def failure(w: Permutation):
         holds = chromatic_identity_holds(w)
         avoiding = is_chromobruhatic(w)
         if holds != avoiding:
             return {"w": str(w), "identity": holds, "avoiding": avoiding}
         return None
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
 
 
 def _check_opy(n: int, jobs: int, options: dict) -> _Scan:
     def one(w: Permutation):
         if not is_smooth(w):
-            return None
+            return None, {"smooth": 0}
         product = opy_chromatic(w)
         chi = chromatic_of(w)
+        failure = None
         if product != chi:
-            return {
+            failure = {
                 "w": str(w),
                 "product": product.text("t"),
                 "chromatic": chi.text("t"),
             }
-        return None
+        return failure, {"smooth": 1}
 
-    def counters(w: Permutation):
-        return {"smooth": int(is_smooth(w))}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
-def _recurrence_failures(w: Permutation, tables) -> Optional[dict]:
-    found = find_reduction_pair(w)
+def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
+    """Check the recurrences at ``found``, the reduction pair of ``w`` (or
+    None when ``find_reduction_pair`` found none)."""
     if found is None:
         if not w.is_identity():
             return {"w": str(w), "reason": "no reduction pair found"}
@@ -380,24 +370,18 @@ def _check_recurrences(n: int, jobs: int, options: dict) -> _Scan:
 
     def one(w: Permutation):
         if w.is_identity() or not is_chromobruhatic(w):
-            return None
-        return _recurrence_failures(w, tables)
-
-    def counters(w: Permutation):
-        if w.is_identity() or not is_chromobruhatic(w):
-            return {}
+            return None, {}
         found = find_reduction_pair(w)
-        if found is None:
-            return {}
-        return {found[2].kind: 1}
+        counts = {} if found is None else {found[2].kind: 1}
+        return _recurrence_failures(w, found, tables), counts
 
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 def _check_hull_vs_standard(n: int, jobs: int, options: dict) -> _Scan:
     population = list(all_permutations(n))
 
-    def one(w: Permutation):
+    def failure(w: Permutation):
         avoiding = is_chromobruhatic(w)
         for u in population:
             rank = bruhat_leq(u, w, method="rank")
@@ -410,7 +394,7 @@ def _check_hull_vs_standard(n: int, jobs: int, options: dict) -> _Scan:
                     return {"w": str(w), "u": str(u), "rank": rank, "hull": hull}
         return None
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
 
 
 def _check_weak_chain(n: int, jobs: int, options: dict) -> _Scan:
@@ -427,14 +411,11 @@ def _check_weak_chain(n: int, jobs: int, options: dict) -> _Scan:
             reachable.add(w.word)
 
     def one(w: Permutation):
-        if is_chromobruhatic(w) and w.word not in reachable:
-            return {"w": str(w)}
-        return None
+        chromo = is_chromobruhatic(w)
+        failure = {"w": str(w)} if chromo and w.word not in reachable else None
+        return failure, {"chromobruhatic": int(chromo)}
 
-    def counters(w: Permutation):
-        return {"chromobruhatic": int(is_chromobruhatic(w))}
-
-    return _run_per_w(n, jobs, one, counters)
+    return _run_per_w(n, jobs, one)
 
 
 CHECKS: dict[str, Callable[[int, int, dict], _Scan]] = {

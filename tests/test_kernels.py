@@ -1,17 +1,19 @@
-"""Both kernel implementations agree with each other and with brute force."""
+"""The kernels agree with brute force, whatever the shared memo holds."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invlat import _kernels_py, kernels
-from util import brute_colorings, brute_permanent
+from invlat import kernels
+from invlat.permutation import InversionGraph, Permutation
+from util import all_perms, brute_colorings, brute_permanent
 
-IMPLS = [_kernels_py]
-if kernels.HAVE_COMPILED:
-    from invlat import _kernels
-
-    IMPLS.append(_kernels)
+# The test ids carry the implementation name, ``[python]``.
+IMPLS = [kernels]
 
 
 def _eval(coeffs, x):
@@ -93,22 +95,71 @@ class TestChromatic:
             assert _eval(coeffs, k) == (k * (k - 1)) ** 2
 
 
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel not built")
-def test_implementations_agree():
-    from invlat import _kernels
-
-    rng = random.Random(99)
-    for _ in range(300):
-        n = rng.randint(0, 8)
-        masks = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
-        assert _kernels.chromatic_coeffs(masks) == _kernels_py.chromatic_coeffs(masks)
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        assert _kernels.ryser_permanent(rows, n) == _kernels_py.ryser_permanent(
-            rows, n
-        )
-
-
 def test_selected_kernel_exports():
-    assert kernels.IMPLEMENTATION in ("python", "cython")
+    assert kernels.IMPLEMENTATION == "python"
     assert callable(kernels.ryser_permanent)
     assert callable(kernels.chromatic_coeffs)
+
+
+def _assert_history_free(masks):
+    """The value read through the shared memo equals a cold run with a
+    fresh memo and the brute-force colouring counts."""
+    warm = kernels.chromatic_coeffs(masks)
+    # A tuple, so no caller can alter the memo entry it was handed.
+    assert type(warm) is tuple
+    assert warm == kernels._chi(tuple(masks), {})
+    for k in (1, 2, 3):
+        assert _eval(warm, k) == brute_colorings(masks, k)
+
+
+@pytest.fixture(scope="module")
+def warm_memo():
+    """Sweep S_1..S_6 through the shared memo before comparing."""
+    graphs = [
+        InversionGraph.of(w).adjacency_masks() for n in range(1, 7) for w in all_perms(n)
+    ]
+    for masks in graphs:
+        kernels.chromatic_coeffs(masks)
+    return graphs
+
+
+class TestSharedMemo:
+    def test_every_inversion_graph_to_s6(self, warm_memo):
+        for masks in warm_memo:
+            _assert_history_free(masks)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(7, 8)
+        .flatmap(lambda n: st.permutations(range(1, n + 1)))
+        .map(Permutation)
+    )
+    def test_sampled_n7_to_n8(self, warm_memo, w):
+        masks = InversionGraph.of(w).adjacency_masks()
+        kernels.chromatic_coeffs(masks)  # the second read below is a memo hit
+        _assert_history_free(masks)
+
+    def test_random_graphs_after_the_sweep(self, warm_memo):
+        rng = random.Random(7)
+        for _ in range(100):
+            masks = _random_graph(rng, rng.randint(0, 7), rng.choice((0.2, 0.5, 0.8)))
+            _assert_history_free(masks)
+
+    def test_threads_sharing_a_fresh_memo(self, monkeypatch):
+        # ``verify --jobs`` threads share the memo; a race may compute an
+        # entry twice but must never hand out a wrong or partial value.
+        monkeypatch.setattr(kernels, "_memo", {})
+        graphs = [InversionGraph.of(w).adjacency_masks() for w in all_perms(6)]
+        expected = [kernels._chi(masks, {}) for masks in graphs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: [kernels.chromatic_coeffs(m) for m in graphs])
+                    for _ in range(4)
+                ]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)

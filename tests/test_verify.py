@@ -42,6 +42,37 @@ class TestRunCheck:
         report = verify.run_check("recurrences", 4)
         assert report.payload["light"] + report.payload["heavy"] == 22
 
+    # Every check's full payload at n = 5, key order included, as the
+    # reports had it before the per-w data was computed once per check.
+    PAYLOADS_N5 = {
+        "betti": {"avoiding": 101, "failure_count": 0},
+        "characterization": {"failure_count": 0},
+        "chromatic-identity": {"failure_count": 0},
+        "conjectureA": {"equal": 101, "failure_count": 0},
+        "conjectureB": {"avoiding": 101, "failure_count": 0},
+        "going-down": {"failure_count": 0},
+        "hull-vs-standard": {"failure_count": 0},
+        "opy": {"smooth": 88, "failure_count": 0},
+        "phi-injective": {"failure_count": 0},
+        "phi-surjective-iff": {"avoiding": 101, "failure_count": 0},
+        "recurrences": {"heavy": 20, "light": 80, "failure_count": 0},
+        "weak-chain": {"chromobruhatic": 101, "failure_count": 0},
+    }
+
+    def test_payload_pins_cover_every_check(self):
+        assert set(self.PAYLOADS_N5) == set(verify.CHECKS)
+
+    @pytest.mark.parametrize("check", sorted(PAYLOADS_N5))
+    def test_full_payload_at_n5(self, check):
+        report = verify.run_check(check, 5)
+        assert report.passed
+        assert list(report.payload.items()) == list(self.PAYLOADS_N5[check].items())
+
+    def test_conjecture_a_equal_count_at_n7(self):
+        report = verify.run_check("conjectureA", 7)
+        assert report.passed
+        assert report.payload == {"equal": 2343, "failure_count": 0}
+
     def test_expr_all_mode(self):
         report = verify.run_check("phi-injective", 3, expr="all")
         assert report.passed
