@@ -1,4 +1,4 @@
-"""The hot kernels: Ryser permanents and memoised deletion-contraction."""
+"""The hot kernel: memoised deletion-contraction chromatic polynomials."""
 
 from __future__ import annotations
 
@@ -9,50 +9,6 @@ IMPLEMENTATION = "python"
 # inversion graphs of a sweep over S_n have many sub-graphs in common.
 # Values are tuples, so no caller can alter an entry.
 _memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def ryser_permanent(rows, n: int) -> int:
-    """Permanent of an n x n 0/1 matrix given as row bitmasks.
-
-    Ryser's inclusion-exclusion over column subsets, walked in Gray-code
-    order so each step updates one column:
-
-        per(A) = (-1)^n * sum_{S != 0} (-1)^|S| prod_i |row_i & S|
-    """
-    rows = list(rows)
-    if len(rows) != n:
-        raise ValueError("need exactly n rows")
-    if n == 0:
-        return 1
-    sums = [0] * n
-    total = 0
-    size = 0
-    prev_gray = 0
-    for g in range(1, 1 << n):
-        gray = g ^ (g >> 1)
-        changed = gray ^ prev_gray
-        prev_gray = gray
-        col = changed.bit_length() - 1
-        bit = 1 << col
-        if gray & bit:
-            size += 1
-            for i in range(n):
-                if rows[i] & bit:
-                    sums[i] += 1
-        else:
-            size -= 1
-            for i in range(n):
-                if rows[i] & bit:
-                    sums[i] -= 1
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += -prod if size & 1 else prod
-    return total if n % 2 == 0 else -total
 
 
 def chromatic_coeffs(masks) -> tuple[int, ...]:

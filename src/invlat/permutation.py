@@ -327,38 +327,69 @@ def opy_exponents(w: Permutation) -> tuple[int, ...]:
 
 
 class InversionGraph:
-    """Graph on the rooks 1..n with an edge for every inversion of w."""
+    """Graph on the rooks 1..n with an edge for every inversion of w,
+    stored as neighbour bitmasks over 0-based vertices."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges):
+        masks = [0] * n
+        for a, b in edges:
+            masks[a - 1] |= 1 << (b - 1)
+            masks[b - 1] |= 1 << (a - 1)
         self.n = n
-        self.edges = frozenset(Transposition(min(a, b), max(a, b)) for a, b in edges)
+        self.masks = tuple(masks)
 
     @classmethod
     def of(cls, w: Permutation) -> "InversionGraph":
-        return cls(w.n, w.inversions())
+        """Read the masks straight off the word: position i is adjacent to
+        the earlier positions holding larger values and the later positions
+        holding smaller ones."""
+        word = w.word
+        n = len(word)
+        at = [0] * (n + 1)  # at[v]: the bit of the position holding v
+        for i, v in enumerate(word):
+            at[v] = 1 << i
+        larger = [0] * (n + 1)  # larger[v]: positions holding values > v
+        for v in range(n - 1, 0, -1):
+            larger[v] = larger[v + 1] | at[v + 1]
+        full = (1 << n) - 1
+        masks = []
+        for i, v in enumerate(word):
+            earlier = (1 << i) - 1
+            later = full ^ earlier ^ (1 << i)
+            smaller = full ^ larger[v] ^ at[v]
+            masks.append((larger[v] & earlier) | (smaller & later))
+        g = cls.__new__(cls)
+        g.n = n
+        g.masks = tuple(masks)
+        return g
+
+    @property
+    def edges(self) -> frozenset[Transposition]:
+        return frozenset(
+            Transposition(a + 1, b + 1)
+            for a, m in enumerate(self.masks)
+            for b in range(a + 1, self.n)
+            if m >> b & 1
+        )
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks over 0-based vertices, for the kernels."""
-        masks = [0] * self.n
-        for a, b in self.edges:
-            masks[a - 1] |= 1 << (b - 1)
-            masks[b - 1] |= 1 << (a - 1)
-        return tuple(masks)
+        return self.masks
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, InversionGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"InversionGraph(n={self.n}, edges={sorted(self.edges)!r})"

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 from invlat.bruhat import (
     bruhat_leq,
     ideal_size_table,
-    interval,
+    interval_length_counts,
     two_sided_weak_covers,
 )
 from invlat.chromatic import (
@@ -229,9 +229,7 @@ def _betti_failures(w: Permutation) -> Optional[dict]:
     """Partial-sum inequalities between interval length counts (top down)
     and lattice Betti numbers, with equality at the maximal index."""
     ell = w.length()
-    lengths = [0] * (ell + 1)
-    for u in interval(w):
-        lengths[u.length()] += 1
+    lengths = interval_length_counts(w)
     betti = list(betti_numbers(build_lattice(w)))
 
     def b(i: int) -> int:

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from invlat.bruhat import interval_size
+from interval_oracle import filter_interval, ryser_permanent
+from invlat.bruhat import interval_size, right_hull
 from invlat.chromatic import (
     acyclic_orientations,
     acyclic_orientations_brute,
@@ -145,7 +146,10 @@ def test_criterion_9_cross_oracle_coherence():
                 break
     for w in all_perms(6):
         if is_chromobruhatic(w):
-            if interval_size(w, "permanent") != interval_size(w, "filter"):
+            br = interval_size(w)
+            if not br == ryser_permanent(right_hull(w).rows, 6) == len(
+                filter_interval(w)
+            ):
                 ok = False
                 break
     elapsed = time.perf_counter() - started

@@ -1,5 +1,16 @@
-import pytest
+import math
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from interval_oracle import (
+    filter_interval,
+    hull_interval,
+    length_counts,
+    ryser_permanent,
+)
 from invlat.bruhat import (
     bruhat_graph,
     bruhat_leq,
@@ -8,6 +19,7 @@ from invlat.bruhat import (
     distances_from,
     ideal_size_table,
     interval,
+    interval_length_counts,
     interval_size,
     rank_matrix,
     right_hull,
@@ -16,11 +28,14 @@ from invlat.bruhat import (
     weak_leq_right,
 )
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, parse_permutation
+from invlat.permutation import Permutation, evaluate_word, parse_permutation
 from util import all_perms, brute_permanent, full_graph_distance
 
 W4132 = Permutation((4, 1, 3, 2))
 W4231 = Permutation((4, 2, 3, 1))
+
+# Largest interval the sampled tests enumerate by breadth-first search.
+BFS_CAP = 20_000
 
 
 class TestRankMatrix:
@@ -139,31 +154,67 @@ class TestInterval:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_backends_agree(self, n):
+        # The DP and the BFS against the retired filter scan, hull
+        # fillings and permanent.
         for w in all_perms(n):
-            by_filter = interval(w, "filter")
-            assert interval(w, "bfs") == by_filter
+            by_filter = filter_interval(w)
+            assert interval(w) == by_filter
+            assert interval_size(w) == len(by_filter)
             if is_chromobruhatic(w):
-                assert interval(w, "hull") == by_filter
-                assert interval_size(w, "permanent") == len(by_filter)
-            assert interval_size(w, "filter") == len(by_filter)
+                assert hull_interval(w) == by_filter
+                assert ryser_permanent(right_hull(w).rows, n) == len(by_filter)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_length_counts_match_filter(self, n):
+        for w in all_perms(n):
+            expected = length_counts(filter_interval(w), w.length())
+            assert list(interval_length_counts(w)) == expected
 
     def test_permanent_is_hull_permanent(self):
         for w in all_perms(4):
             if is_chromobruhatic(w):
                 rows = right_hull(w).rows
                 assert interval_size(w) == brute_permanent(rows, 4)
+                assert ryser_permanent(rows, 4) == brute_permanent(rows, 4)
 
-    def test_hull_path_rejects_non_avoiding(self):
-        with pytest.raises(ValueError):
-            interval(W4231, "hull")
-        with pytest.raises(ValueError):
-            interval_size(W4231, "permanent")
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_ideal_size_table(self, n):
         table = ideal_size_table(n)
         for w in all_perms(n):
-            assert table[w.word] == interval_size(w, "filter")
+            assert table[w.word] == interval_size(w)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_longest_element_is_mahonian(self, n):
+        # [e, w0] is all of S_n, counted by length by the product of
+        # (1 + q + ... + q^(i-1)) over i = 1..n.
+        mahonian = [1]
+        for i in range(1, n + 1):
+            mahonian = [
+                sum(mahonian[max(0, k - i + 1) : k + 1])
+                for k in range(len(mahonian) + i - 1)
+            ]
+        counts = interval_length_counts(Permutation.longest(n))
+        assert list(counts) == mahonian
+        assert interval_size(Permutation.longest(n)) == math.factorial(n)
+
+    # Products of 30 to 48 adjacent transpositions keep the intervals small
+    # enough for the BFS, and 24 of the 40 draws avoid the four patterns;
+    # uniform draws from S_12 avoid them one time in 45.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(8, 12).flatmap(
+            lambda n: st.lists(
+                st.integers(1, n - 1), min_size=30, max_size=48
+            ).map(lambda letters: evaluate_word(n, letters))
+        )
+    )
+    def test_sampled_n8_to_n12(self, w):
+        size = interval_size(w)
+        if is_chromobruhatic(w):
+            assert size == ryser_permanent(right_hull(w).rows, w.n)
+        if size <= BFS_CAP:
+            expected = length_counts(interval(w), w.length())
+            assert list(interval_length_counts(w)) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_br_symmetry_invariance(self, n):
@@ -172,6 +223,29 @@ class TestInterval:
             br = table[w.word]
             assert table[w.inverse().word] == br
             assert table[w.rotate().word] == br
+
+
+class TestPermanent:
+    """The Ryser permanent oracle against brute force."""
+
+    def test_against_brute_force(self):
+        rng = random.Random(20240)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            assert ryser_permanent(rows, n) == brute_permanent(rows, n)
+
+    def test_all_ones_is_factorial(self):
+        for n in range(1, 13):
+            assert ryser_permanent([(1 << n) - 1] * n, n) == math.factorial(n)
+
+    def test_empty_and_zero(self):
+        assert ryser_permanent([], 0) == 1
+        assert ryser_permanent([0, 0], 2) == 0
+
+    def test_row_count_checked(self):
+        with pytest.raises(ValueError):
+            ryser_permanent([1], 2)
 
 
 class TestDirectedDistance:
@@ -190,6 +264,12 @@ class TestDirectedDistance:
         assert u * W4231.inverse() == Permutation.from_cycles(4, [(1, 4), (2, 3)])
         assert (u * W4231.inverse()).absolute_length() == 2
         assert directed_distance(u, W4231) == 4
+
+    def test_mapping_is_shared_and_read_only(self):
+        dist = distances_from(W4132)
+        assert distances_from(W4132) is dist
+        with pytest.raises(TypeError):
+            dist[(1, 2, 3, 4)] = 5
 
     def test_not_below_raises(self):
         with pytest.raises(ValueError, match="not below"):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from invlat import verify
+from invlat.bruhat import distances_from
 from invlat.cli import analyze, main
 from invlat.permutation import Permutation
 
@@ -90,6 +91,15 @@ class TestAnalyze:
         report = analyze(Permutation((4, 2, 3, 1)))
         assert len(builds) == 1
         assert report["re"] == len(report["phi_table"]) == 18
+
+    def test_analyze_runs_one_bfs(self):
+        # 4231 contains a pattern, so the distance polynomial, the missed
+        # elements and the witness all read the interval's distances.
+        distances_from.cache_clear()
+        report = analyze(Permutation((4, 2, 3, 1)))
+        assert report["witness"] is not None and report["phi_missed"]
+        info = distances_from.cache_info()
+        assert info.misses == 1 and info.hits >= 2
 
 
 class TestVerifyCommand:

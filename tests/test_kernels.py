@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from invlat import kernels
 from invlat.permutation import InversionGraph, Permutation
-from util import all_perms, brute_colorings, brute_permanent
+from util import all_perms, brute_colorings
 
 # The test ids carry the implementation name, ``[python]``.
 IMPLS = [kernels]
@@ -31,30 +31,6 @@ def _random_graph(rng, n, p=0.5):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return tuple(masks)
-
-
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-class TestPermanent:
-    def test_against_brute_force(self, impl):
-        rng = random.Random(20240)
-        for _ in range(200):
-            n = rng.randint(0, 6)
-            rows = [rng.getrandbits(n) for _ in range(n)]
-            assert impl.ryser_permanent(rows, n) == brute_permanent(rows, n)
-
-    def test_all_ones_is_factorial(self, impl):
-        fact = 1
-        for n in range(1, 13):
-            fact *= n
-            assert impl.ryser_permanent([(1 << n) - 1] * n, n) == fact
-
-    def test_empty_and_zero(self, impl):
-        assert impl.ryser_permanent([], 0) == 1
-        assert impl.ryser_permanent([0, 0], 2) == 0
-
-    def test_row_count_checked(self, impl):
-        with pytest.raises(ValueError):
-            impl.ryser_permanent([1], 2)
 
 
 @pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
@@ -97,7 +73,6 @@ class TestChromatic:
 
 def test_selected_kernel_exports():
     assert kernels.IMPLEMENTATION == "python"
-    assert callable(kernels.ryser_permanent)
     assert callable(kernels.chromatic_coeffs)
 
 

@@ -224,3 +224,14 @@ class TestInversionGraph:
     def test_edge_count_everywhere(self, n):
         for w in all_perms(n):
             assert InversionGraph.of(w).edge_count() == w.length()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_masks_from_the_word_match_the_edge_list(self, n):
+        # ``of`` reads the masks off the word; the constructor builds them
+        # from the inversion pairs.
+        for w in all_perms(n):
+            g = InversionGraph.of(w)
+            from_edges = InversionGraph(n, w.inversions())
+            assert g == from_edges and hash(g) == hash(from_edges)
+            assert g.adjacency_masks() == from_edges.adjacency_masks()
+            assert g.edges == frozenset(w.inversions())

@@ -82,6 +82,22 @@ class TestRunCheck:
         report = verify.run_check("hull-vs-standard", 5)
         assert report.passed, report.counterexamples
 
+    def test_hull_vs_standard_computes_each_hull_once(self, monkeypatch):
+        import invlat.bruhat
+
+        hulls = []
+        real = invlat.bruhat.right_hull
+
+        def counting(w):
+            hulls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(invlat.bruhat, "right_hull", counting)
+        invlat.bruhat._avoiding_hull.cache_clear()
+        report = verify.run_check("hull-vs-standard", 4)
+        assert report.passed
+        assert len(hulls) == len(set(hulls)) == report.population - 1
+
     def test_report_json_shape(self):
         report = verify.run_check("conjectureA", 3)
         data = report.to_json_dict()
