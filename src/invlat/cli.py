@@ -22,7 +22,7 @@ from invlat.chromatic import (
     chromatic_of,
     distance_poly,
 )
-from invlat.lattice import build_lattice, mobius_values
+from invlat.lattice import betti_numbers, build_lattice, mobius_values
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
@@ -47,9 +47,6 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
     mu = mobius_values(lattice)
-    betti = [0] * (lattice.max_rank() + 1)
-    for x, value in mu.items():
-        betti[x.rank] += value
     re = sum(mu.values())
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
@@ -83,7 +80,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
         "chromatic": {"text": chi.text("t"), "coeffs": chi.to_json()},
         "distance_poly": {"text": dpoly.text("q"), "coeffs": dpoly.to_json()},
         "identity_holds": dpoly == chi_distance_transform(chi, w.n),
-        "betti": betti,
+        "betti": list(betti_numbers(lattice)),
         "opy_exponents": list(opy_exponents(w)) if smooth else None,
         "lattice": {
             "elements": [str(x) for x in lattice.elements],
@@ -220,7 +217,6 @@ def _cmd_verify(args) -> int:
         report = verify_mod.run_check(
             args.check,
             args.n,
-            jobs=args.jobs,
             expr=args.expr,
             cap=None if args.all_counterexamples else args.max_counterexamples,
         )
@@ -320,7 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", required=True, choices=sorted(verify_mod.CHECKS)
     )
     p_verify.add_argument("--n", required=True, type=int)
-    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_verify.add_argument(
+        "--jobs",
+        type=_int_at_least(1),
+        default=1,
+        help="ignored: checks run on one thread; kept so existing command "
+        "lines that pass it still work",
+    )
     p_verify.add_argument(
         "--expr",
         choices=("canonical", "all"),

@@ -17,7 +17,7 @@ from invlat.chromatic import (
     distance_poly,
     opy_chromatic,
 )
-from invlat.lattice import build_lattice, mobius_values
+from invlat.lattice import betti_numbers, build_lattice, mobius_values
 from invlat.permutation import Permutation, opy_exponents, reduced_expression
 from invlat.phimap import is_injective, missed_elements, phi_table
 
@@ -107,9 +107,6 @@ def generate() -> dict[str, Any]:
     table = phi_table(w, lattice=lattice)
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
-    betti = [0] * (lattice.max_rank() + 1)
-    for x, value in mu.items():
-        betti[x.rank] += value
     return {
         "w": str(w),
         "expression": list(GOLDEN_EXPRESSION),
@@ -121,7 +118,7 @@ def generate() -> dict[str, Any]:
             [str(a), str(b), label] for a, b, label in lattice.cover_labels()
         ],
         "mobius": {str(x): value for x, value in mu.items()},
-        "betti": betti,
+        "betti": list(betti_numbers(lattice)),
         "chain_table": [
             {
                 "labels": list(entry.chain.labels),

@@ -17,8 +17,9 @@ once, for ordering, chains and printing.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
@@ -121,6 +122,7 @@ class IntersectionLattice:
                 f"{expression!r} is not a reduced expression for {w}"
             )
         self._chains: Optional[tuple[DecreasingChain, ...]] = None
+        self._mobius: Optional[Mapping[SetPartition, int]] = None
         self._build()
 
     def _build(self) -> None:
@@ -226,7 +228,7 @@ def decreasing_chains(lattice: IntersectionLattice) -> tuple[DecreasingChain, ..
     return lattice._chains
 
 
-def mobius_values(lattice: IntersectionLattice) -> dict[SetPartition, int]:
+def mobius_values(lattice: IntersectionLattice) -> Mapping[SetPartition, int]:
     """|mu(bottom, x)| for every element, computed two independent ways.
 
     By Whitney's theorem (Rota 1964) the interval below x is the product of
@@ -234,8 +236,12 @@ def mobius_values(lattice: IntersectionLattice) -> dict[SetPartition, int]:
     the blocks B of x of the absolute linear coefficient of the chromatic
     polynomial of the induced graph G[B]; each block's factor is computed
     once.  The count of decreasing chains ending at x must agree; a mismatch
-    means the lattice or its labelling is built wrongly.
+    means the lattice or its labelling is built wrongly.  The values are
+    computed once per lattice and shared by later calls, so the mapping is
+    read-only.
     """
+    if lattice._mobius is not None:
+        return lattice._mobius
     word = lattice.w.word
     block_values: dict[int, int] = {}
 
@@ -264,7 +270,8 @@ def mobius_values(lattice: IntersectionLattice) -> dict[SetPartition, int]:
                 f"{chains} decreasing chains; lattice construction bug"
             )
         out[x] = value
-    return out
+    lattice._mobius = types.MappingProxyType(out)
+    return lattice._mobius
 
 
 def betti_numbers(lattice: IntersectionLattice) -> tuple[int, ...]:

@@ -1,19 +1,16 @@
 """Exhaustive desk-scale verification checks over all of S_n.
 
-Each check scans the whole symmetric group (lexicographically, optionally
-fanned out over worker threads in contiguous blocks with a deterministic
-merge) and reports counterexamples.  Each check computes its per-permutation
-data once, for the failure test and the payload counters together.  Worker
-count never changes a report, only the elapsed time; the only shared mutable
-state is the process-wide deletion-contraction memo of ``invlat.kernels``,
-which every sweep shares and which tolerates concurrent readers and writers
-(a race at worst computes an entry twice, with the same value).
+Each check scans the whole symmetric group in lexicographic order and
+reports counterexamples.  Each check computes its per-permutation data once,
+for the failure test and the payload counters together.  The count-only
+sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) from
+``ideal_size_table``, one prefix-set DP walk over all of S_n, and share the
+process-wide deletion-contraction memo of ``invlat.kernels`` for ao(w).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -122,24 +119,13 @@ class _Scan:
         self.counts[key] = self.counts.get(key, 0) + amount
 
 
-def _pmap(fn: Callable, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return [fn(x) for x in items]
-    size = (len(items) + jobs - 1) // jobs
-    blocks = [items[k : k + size] for k in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(lambda block: [fn(x) for x in block], blocks))
-    return [r for chunk in chunks for r in chunk]
-
-
 def _run_per_w(
     n: int,
-    jobs: int,
     one: Callable[[Permutation], tuple[Optional[dict], dict[str, int]]],
 ) -> _Scan:
     """Scan S_n with ``one(w) -> (failure or None, payload counts)``."""
     scan = _Scan()
-    for failure, counts in _pmap(one, list(all_permutations(n)), jobs):
+    for failure, counts in map(one, all_permutations(n)):
         if failure is not None:
             scan.failures.append(failure)
         for key, amount in counts.items():
@@ -147,7 +133,7 @@ def _run_per_w(
     return scan
 
 
-def _check_conjecture_a(n: int, jobs: int, options: dict) -> _Scan:
+def _check_conjecture_a(n: int, options: dict) -> _Scan:
     sizes = ideal_size_table(n)
 
     def one(w: Permutation):
@@ -156,10 +142,10 @@ def _check_conjecture_a(n: int, jobs: int, options: dict) -> _Scan:
         failure = {"w": str(w), "re": re, "br": br} if re > br else None
         return failure, {"equal": int(re == br)}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-def _check_conjecture_b(n: int, jobs: int, options: dict) -> _Scan:
+def _check_conjecture_b(n: int, options: dict) -> _Scan:
     sizes = ideal_size_table(n)
 
     def one(w: Permutation):
@@ -171,10 +157,10 @@ def _check_conjecture_b(n: int, jobs: int, options: dict) -> _Scan:
             failure = {"w": str(w), "re": re, "br": br, "avoiding": avoiding}
         return failure, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-def _check_phi_injective(n: int, jobs: int, options: dict) -> _Scan:
+def _check_phi_injective(n: int, options: dict) -> _Scan:
     expr_mode = options.get("expr", "canonical")
 
     def failure(w: Permutation):
@@ -187,10 +173,10 @@ def _check_phi_injective(n: int, jobs: int, options: dict) -> _Scan:
                 return {"w": str(w), "expression": list(expr)}
         return None
 
-    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
+    return _run_per_w(n, lambda w: (failure(w), {}))
 
 
-def _check_phi_surjective_iff(n: int, jobs: int, options: dict) -> _Scan:
+def _check_phi_surjective_iff(n: int, options: dict) -> _Scan:
     def one(w: Permutation):
         surjective, missed = verify_surjective(w)
         avoiding = is_chromobruhatic(w)
@@ -204,25 +190,25 @@ def _check_phi_surjective_iff(n: int, jobs: int, options: dict) -> _Scan:
             }
         return failure, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-def _check_going_down(n: int, jobs: int, options: dict) -> _Scan:
+def _check_going_down(n: int, options: dict) -> _Scan:
     def failure(w: Permutation):
         if not verify_going_down(w):
             return {"w": str(w)}
         return None
 
-    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
+    return _run_per_w(n, lambda w: (failure(w), {}))
 
 
-def _check_characterization(n: int, jobs: int, options: dict) -> _Scan:
+def _check_characterization(n: int, options: dict) -> _Scan:
     def failure(w: Permutation):
         if not verify_characterization(w):
             return {"w": str(w), "avoiding": is_chromobruhatic(w)}
         return None
 
-    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
+    return _run_per_w(n, lambda w: (failure(w), {}))
 
 
 def _betti_failures(w: Permutation) -> Optional[dict]:
@@ -265,16 +251,16 @@ def _betti_failures(w: Permutation) -> Optional[dict]:
     return None
 
 
-def _check_betti(n: int, jobs: int, options: dict) -> _Scan:
+def _check_betti(n: int, options: dict) -> _Scan:
     def one(w: Permutation):
         avoiding = is_chromobruhatic(w)
         failure = _betti_failures(w) if avoiding else None
         return failure, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-def _check_chromatic_identity(n: int, jobs: int, options: dict) -> _Scan:
+def _check_chromatic_identity(n: int, options: dict) -> _Scan:
     def failure(w: Permutation):
         holds = chromatic_identity_holds(w)
         avoiding = is_chromobruhatic(w)
@@ -282,10 +268,10 @@ def _check_chromatic_identity(n: int, jobs: int, options: dict) -> _Scan:
             return {"w": str(w), "identity": holds, "avoiding": avoiding}
         return None
 
-    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
+    return _run_per_w(n, lambda w: (failure(w), {}))
 
 
-def _check_opy(n: int, jobs: int, options: dict) -> _Scan:
+def _check_opy(n: int, options: dict) -> _Scan:
     def one(w: Permutation):
         if not is_smooth(w):
             return None, {"smooth": 0}
@@ -300,7 +286,7 @@ def _check_opy(n: int, jobs: int, options: dict) -> _Scan:
             }
         return failure, {"smooth": 1}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
 def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
@@ -363,7 +349,7 @@ def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
     return None
 
 
-def _check_recurrences(n: int, jobs: int, options: dict) -> _Scan:
+def _check_recurrences(n: int, options: dict) -> _Scan:
     tables = {m: ideal_size_table(m) for m in range(max(1, n - 2), n + 1)}
 
     def one(w: Permutation):
@@ -373,10 +359,10 @@ def _check_recurrences(n: int, jobs: int, options: dict) -> _Scan:
         counts = {} if found is None else {found[2].kind: 1}
         return _recurrence_failures(w, found, tables), counts
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-def _check_hull_vs_standard(n: int, jobs: int, options: dict) -> _Scan:
+def _check_hull_vs_standard(n: int, options: dict) -> _Scan:
     population = list(all_permutations(n))
 
     def failure(w: Permutation):
@@ -392,10 +378,10 @@ def _check_hull_vs_standard(n: int, jobs: int, options: dict) -> _Scan:
                     return {"w": str(w), "u": str(u), "rank": rank, "hull": hull}
         return None
 
-    return _run_per_w(n, jobs, lambda w: (failure(w), {}))
+    return _run_per_w(n, lambda w: (failure(w), {}))
 
 
-def _check_weak_chain(n: int, jobs: int, options: dict) -> _Scan:
+def _check_weak_chain(n: int, options: dict) -> _Scan:
     chromo = [w for w in all_permutations(n) if is_chromobruhatic(w)]
     chromo_words = {w.word for w in chromo}
     reachable: set[tuple[int, ...]] = {Permutation.identity(n).word}
@@ -413,10 +399,10 @@ def _check_weak_chain(n: int, jobs: int, options: dict) -> _Scan:
         failure = {"w": str(w)} if chromo and w.word not in reachable else None
         return failure, {"chromobruhatic": int(chromo)}
 
-    return _run_per_w(n, jobs, one)
+    return _run_per_w(n, one)
 
 
-CHECKS: dict[str, Callable[[int, int, dict], _Scan]] = {
+CHECKS: dict[str, Callable[[int, dict], _Scan]] = {
     "conjectureA": _check_conjecture_a,
     "conjectureB": _check_conjecture_b,
     "phi-injective": _check_phi_injective,
@@ -435,7 +421,6 @@ CHECKS: dict[str, Callable[[int, int, dict], _Scan]] = {
 def run_check(
     check: str,
     n: int,
-    jobs: int = 1,
     expr: str = "canonical",
     cap: Optional[int] = DEFAULT_COUNTEREXAMPLE_CAP,
 ) -> Report:
@@ -446,8 +431,6 @@ def run_check(
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; options: {sorted(CHECKS)}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cap is not None and cap < 0:
         raise ValueError(f"the counterexample cap must be >= 0, got {cap}")
     ceiling = CHECK_CEILINGS[check]
@@ -458,7 +441,7 @@ def run_check(
     if not 1 <= n <= ceiling:
         raise ValueError(f"check {check!r} accepts 1 <= n <= {ceiling}, got {n}")
     started = time.perf_counter()
-    scan = CHECKS[check](n, jobs, {"expr": expr})
+    scan = CHECKS[check](n, {"expr": expr})
     elapsed = time.perf_counter() - started
     population = 1
     for i in range(2, n + 1):

@@ -5,10 +5,13 @@ oracles for ``invlat.bruhat``'s prefix-set DP and breadth-first search.
   only when w avoids 4231, 35142, 42513 and 351624;
 - ``hull_interval``: the permutation matrices inside the right hull, under
   the same condition;
-- ``filter_interval``: a scan of all of S_n with the bubble criterion.
+- ``filter_interval``: a scan of all of S_n with the bubble criterion;
+- ``bitset_ideal_table``: br(w) for all of S_n from bitset ideals.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from invlat.bruhat import right_hull
 from invlat.permutation import Permutation
@@ -105,6 +108,34 @@ def filter_interval(w: Permutation) -> list[Permutation]:
             for i, j, bound in constraints
         )
     ]
+
+
+def bitset_ideal_table(n: int) -> dict[tuple[int, ...], int]:
+    """br(w) for every w in S_n, keyed by word.
+
+    Sweeping by length, the ideal of w is w itself plus the union of the
+    ideals of all tw with lower length; ideals are bitmasks over S_n, so the
+    union is a single big-int OR.  The masks take (n!)^2 bits in all, about
+    130 MB at n = 8.
+    """
+    perms = sorted(
+        itertools.permutations(range(1, n + 1)),
+        key=lambda p: (sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)), p),
+    )
+    index = {p: k for k, p in enumerate(perms)}
+    masks: list[int] = []
+    sizes: dict[tuple[int, ...], int] = {}
+    for k, p in enumerate(perms):
+        m = 1 << k
+        for i in range(n):
+            for j in range(i + 1, n):
+                if p[i] > p[j]:
+                    q = list(p)
+                    q[i], q[j] = q[j], q[i]
+                    m |= masks[index[tuple(q)]]
+        masks.append(m)
+        sizes[p] = m.bit_count()
+    return sizes
 
 
 def length_counts(elements, top: int) -> list[int]:

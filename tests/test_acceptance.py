@@ -46,7 +46,7 @@ def test_criterion_2_region_count_at_most_interval_size():
     started = time.perf_counter()
     ok = True
     for n in range(2, 8):
-        report = run_check("conjectureA", n, jobs=1)
+        report = run_check("conjectureA", n)
         ok = ok and report.passed
         assert report.passed, report.counterexamples
     elapsed = time.perf_counter() - started
@@ -58,7 +58,7 @@ def test_criterion_3_equality_iff_avoidance():
     started = time.perf_counter()
     ok = True
     for n in range(1, 7):
-        report = run_check("conjectureB", n, jobs=1)
+        report = run_check("conjectureB", n)
         ok = ok and report.passed
         assert report.passed, report.counterexamples
     elapsed = time.perf_counter() - started
@@ -68,7 +68,7 @@ def test_criterion_3_equality_iff_avoidance():
 
 def test_criterion_4_injectivity():
     started = time.perf_counter()
-    canonical = run_check("phi-injective", 6, jobs=1)
+    canonical = run_check("phi-injective", 6)
     assert canonical.passed, canonical.counterexamples
     every_expr = run_check("phi-injective", 4, expr="all")
     assert every_expr.passed, every_expr.counterexamples
@@ -96,7 +96,7 @@ def test_criterion_5_going_down_and_characterization():
 
 def test_criterion_6_reduction_recurrences():
     started = time.perf_counter()
-    report = run_check("recurrences", 6, jobs=1)
+    report = run_check("recurrences", 6)
     elapsed = time.perf_counter() - started
     covered = report.payload.get("light", 0) + report.payload.get("heavy", 0)
     ok = report.passed and covered == 476  # every non-identity avoiding w in S_6
@@ -124,7 +124,7 @@ def test_criterion_7_smooth_product_formula():
 
 def test_criterion_8_betti_inequalities():
     started = time.perf_counter()
-    report = run_check("betti", 5, jobs=1)
+    report = run_check("betti", 5)
     elapsed = time.perf_counter() - started
     ok = report.passed and report.payload["avoiding"] == 101
     _report(8, "Betti partial-sum inequalities with maximal-r equality, S_5", ok, elapsed)

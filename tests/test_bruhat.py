@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interval_oracle import (
+    bitset_ideal_table,
     filter_interval,
     hull_interval,
     length_counts,
@@ -182,6 +183,10 @@ class TestInterval:
         table = ideal_size_table(n)
         for w in all_perms(n):
             assert table[w.word] == interval_size(w)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ideal_size_table_against_bitset_oracle(self, n):
+        assert ideal_size_table(n) == bitset_ideal_table(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_longest_element_is_mahonian(self, n):

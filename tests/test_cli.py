@@ -120,10 +120,15 @@ class TestVerifyCommand:
         assert data["payload"]["avoiding"] == 23
 
     def test_jobs_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--check", "going-down", "--n", "4", "--jobs", "2"
-        )
+        # Still parsed so existing command lines work, and ignored.
+        args = ("verify", "--check", "going-down", "--n", "4", "--format", "json")
+        code, out, _ = run_cli(capsys, *args, "--jobs", "2")
         assert code == 0
+        _, plain, _ = run_cli(capsys, *args)
+        a, b = json.loads(out), json.loads(plain)
+        a.pop("elapsed_s")
+        b.pop("elapsed_s")
+        assert a == b
 
     def test_expr_all(self, capsys):
         code, out, _ = run_cli(
@@ -145,7 +150,7 @@ class TestVerifyCommand:
         assert "accepts" in err
 
     def test_failure_exit_1(self, capsys, monkeypatch):
-        def failing_check(n, jobs, options):
+        def failing_check(n, options):
             scan = verify._Scan()
             scan.failures = [{"w": "none"}]
             return scan

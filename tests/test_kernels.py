@@ -121,8 +121,9 @@ class TestSharedMemo:
             _assert_history_free(masks)
 
     def test_threads_sharing_a_fresh_memo(self, monkeypatch):
-        # ``verify --jobs`` threads share the memo; a race may compute an
-        # entry twice but must never hand out a wrong or partial value.
+        # The memo is process-wide, so any threads a caller runs share it; a
+        # race may compute an entry twice but must never hand out a wrong or
+        # partial value.
         monkeypatch.setattr(kernels, "_memo", {})
         graphs = [InversionGraph.of(w).adjacency_masks() for w in all_perms(6)]
         expected = [kernels._chi(masks, {}) for masks in graphs]

@@ -206,6 +206,13 @@ class TestMobiusAndBetti:
         with pytest.raises(RuntimeError, match="Mobius mismatch at 1\\|2\\|34"):
             mobius_values(lattice)
 
+    def test_computed_once_and_read_only(self):
+        lattice = build_lattice(W4132, (1, 2, 3, 2))
+        mu = mobius_values(lattice)
+        assert mobius_values(lattice) is mu
+        with pytest.raises(TypeError):
+            mu[lattice.bottom] = 2
+
     def test_bottom_is_one(self):
         lattice = build_lattice(W4231)
         assert mobius_values(lattice)[SetPartition.singletons(4)] == 1
