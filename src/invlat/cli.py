@@ -18,6 +18,7 @@ from invlat import golden as golden_mod
 from invlat import verify as verify_mod
 from invlat.bruhat import distances_from, interval_size
 from invlat.chromatic import (
+    acyclic_orientations,
     chi_distance_transform,
     chromatic_of,
     distance_poly,
@@ -32,6 +33,7 @@ from invlat.patterns import (
     contains,
 )
 from invlat.permutation import (
+    InversionGraph,
     Permutation,
     opy_exponents,
     parse_permutation,
@@ -50,7 +52,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     re = sum(mu.values())
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
-    ao = (-1) ** w.n * chi(-1)
+    ao = acyclic_orientations(InversionGraph.of(w))
     br = interval_size(w)
     smooth = is_smooth(w)
     avoiding = is_chromobruhatic(w)

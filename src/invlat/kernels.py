@@ -1,6 +1,14 @@
-"""The hot kernel: memoised deletion-contraction chromatic polynomials."""
+"""The hot kernels: memoised deletion-contraction for chromatic polynomials
+and for acyclic-orientation counts.
+
+Both recursions peel isolated and degree-1 vertices, split connected
+components, short-circuit complete graphs and otherwise delete and contract
+the same edge; each keeps its own process-wide memo on labelled graphs.
+"""
 
 from __future__ import annotations
+
+from math import factorial
 
 IMPLEMENTATION = "python"
 
@@ -9,6 +17,11 @@ IMPLEMENTATION = "python"
 # inversion graphs of a sweep over S_n have many sub-graphs in common.
 # Values are tuples, so no caller can alter an entry.
 _memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+# Acyclic-orientation counts, shared the same way but keyed by one packed
+# int per graph (``_key``), which costs far less memory than a tuple key
+# with a tuple value.
+_ao_memo: dict[int, int] = {}
 
 
 def chromatic_coeffs(masks) -> tuple[int, ...]:
@@ -22,92 +35,138 @@ def chromatic_coeffs(masks) -> tuple[int, ...]:
     return _chi(tuple(masks), _memo)
 
 
+def acyclic_orientation_count(masks) -> int:
+    """Number of acyclic orientations of a simple graph given by 0-based
+    neighbor bitmasks.
+
+    Stanley's deletion-contraction a(G) = a(G - e) + a(G / e), with a factor
+    1 per isolated vertex, 2 per pendant vertex, k! for K_k and the product
+    over components, memoised process-wide on packed labelled graphs.
+    """
+    return _ao(tuple(masks), _ao_memo)
+
+
 def _chi(masks: tuple, memo: dict) -> tuple:
-    v = len(masks)
-    if v == 0:
+    if not masks:
         return (1,)
     cached = memo.get(masks)
     if cached is not None:
         return cached
 
-    # Peel vertices of degree 0 (factor t) and degree 1 (factor t-1).
-    t_factors = 0
-    t1_factors = 0
+    work, isolated, pendant = _peel(masks)
+    if isolated or pendant:
+        # Each isolated vertex gives a factor t, each pendant one t-1.
+        res = _chi(work, memo)
+        for _ in range(pendant):
+            res = _sub(_shift(res), res)
+        res = (0,) * isolated + res
+    elif len(comps := _components(work)) > 1:
+        res = (1,)
+        for comp in comps:
+            res = _mul(res, _chi(_induced(work, comp), memo))
+    elif _is_complete(work):
+        # t (t-1) ... (t-k+1).
+        res = (1,)
+        for r in range(len(work)):
+            res = _sub(_shift(res), [c * r for c in res])
+    else:
+        deleted, contracted = _split_edge(work)
+        res = _sub(_chi(deleted, memo), _chi(contracted, memo))
+    memo[masks] = res
+    return res
+
+
+def _ao(masks: tuple, memo: dict) -> int:
+    if not masks:
+        return 1
+    key = _key(masks)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+
+    work, isolated, pendant = _peel(masks)
+    if isolated or pendant:
+        # An isolated vertex has one orientation, a pendant edge two.
+        res = _ao(work, memo) << pendant
+    elif len(comps := _components(work)) > 1:
+        res = 1
+        for comp in comps:
+            res *= _ao(_induced(work, comp), memo)
+    elif _is_complete(work):
+        # The acyclic orientations of K_k are its k! linear orders.
+        res = factorial(len(work))
+    else:
+        # Stanley: a(G) = a(G - e) + a(G / e).
+        deleted, contracted = _split_edge(work)
+        res = _ao(deleted, memo) + _ao(contracted, memo)
+    memo[key] = res
+    return res
+
+
+def _key(masks: tuple) -> int:
+    """The neighbour masks of a k-vertex graph packed k bits apiece below a
+    sentinel bit at k*k, which tells graphs of different sizes apart."""
+    k = len(masks)
+    key = 1 << (k * k)
+    shift = 0
+    for m in masks:
+        key |= m << shift
+        shift += k
+    return key
+
+
+def _peel(masks: tuple) -> tuple[tuple, int, int]:
+    """Strip vertices of degree 0 and 1 until none is left; return the
+    compacted core and how many isolated and pendant vertices went."""
+    isolated = 0
+    pendant = 0
     work = list(masks)
-    alive = list(range(v))
     changed = True
     while changed:
         changed = False
-        for idx in range(len(alive) - 1, -1, -1):
+        for idx in range(len(work) - 1, -1, -1):
             deg = work[idx].bit_count()
             if deg <= 1:
                 if deg == 0:
-                    t_factors += 1
+                    isolated += 1
                 else:
-                    t1_factors += 1
+                    pendant += 1
                     nb = work[idx].bit_length() - 1
                     work[nb] &= ~(1 << idx)
                 # Drop vertex idx and compact the bit positions above it.
                 del work[idx]
-                del alive[idx]
                 low = (1 << idx) - 1
-                for k in range(len(work)):
-                    m = work[k]
-                    work[k] = (m & low) | ((m >> 1) & ~low)
+                for j in range(len(work)):
+                    m = work[j]
+                    work[j] = (m & low) | ((m >> 1) & ~low)
                 changed = True
+    return tuple(work), isolated, pendant
 
-    if t_factors or t1_factors:
-        core = _chi(tuple(work), memo)
-        res = core
-        for _ in range(t1_factors):
-            res = _sub(_shift(res), res)
-        res = (0,) * t_factors + res
-        memo[masks] = res
-        return res
 
-    k = len(work)
-    if k == 0:
-        res = (1,)
-        memo[masks] = res
-        return res
+def _is_complete(masks: tuple) -> bool:
+    full = (1 << len(masks)) - 1
+    return all(m == full ^ (1 << i) for i, m in enumerate(masks))
 
-    comps = _components(work)
-    if len(comps) > 1:
-        res = (1,)
-        for comp in comps:
-            res = _mul(res, _chi(_induced(work, comp), memo))
-        memo[masks] = res
-        return res
 
-    full = (1 << k) - 1
-    if all(work[i] == full ^ (1 << i) for i in range(k)):
-        # Complete graph: t (t-1) ... (t-k+1).
-        res = (1,)
-        for r in range(k):
-            res = _sub(_shift(res), [c * r for c in res])
-        memo[masks] = res
-        return res
-
-    # Delete/contract an edge at a max-degree vertex.
-    u = max(range(k), key=lambda i: work[i].bit_count())
-    nbs = work[u]
+def _split_edge(masks: tuple) -> tuple[tuple, tuple]:
+    """Delete and contract the edge from a max-degree vertex to its
+    highest-degree neighbour: (G - e, G / e)."""
+    degrees = [m.bit_count() for m in masks]
+    u = max(range(len(masks)), key=degrees.__getitem__)
+    nbs = masks[u]
     best = -1
     wv = -1
     while nbs:
         b = nbs & -nbs
         nbs ^= b
         j = b.bit_length() - 1
-        d = work[j].bit_count()
-        if d > best:
-            best = d
+        if degrees[j] > best:
+            best = degrees[j]
             wv = j
-    deleted = list(work)
+    deleted = list(masks)
     deleted[u] &= ~(1 << wv)
     deleted[wv] &= ~(1 << u)
-    contracted = _contract(work, min(u, wv), max(u, wv))
-    res = _sub(_chi(tuple(deleted), memo), _chi(contracted, memo))
-    memo[masks] = res
-    return res
+    return tuple(deleted), _contract(masks, min(u, wv), max(u, wv))
 
 
 def _contract(masks, a: int, b: int) -> tuple:

@@ -4,8 +4,9 @@ Each check scans the whole symmetric group in lexicographic order and
 reports counterexamples.  Each check computes its per-permutation data once,
 for the failure test and the payload counters together.  The count-only
 sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) from
-``ideal_size_table``, one prefix-set DP walk over all of S_n, and share the
-process-wide deletion-contraction memo of ``invlat.kernels`` for ao(w).
+``ideal_size_table``, one prefix-set DP walk over all of S_n, and ao(w)
+from the process-wide acyclic-orientation memo of ``invlat.kernels``, so
+they build no chromatic polynomial for it.
 """
 
 from __future__ import annotations

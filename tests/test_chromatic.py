@@ -4,7 +4,6 @@ from invlat import kernels
 from invlat.chromatic import (
     IntPoly,
     acyclic_orientations,
-    acyclic_orientations_brute,
     chi_distance_transform,
     chromatic_identity_holds,
     chromatic_of,
@@ -14,7 +13,7 @@ from invlat.chromatic import (
 )
 from invlat.patterns import is_chromobruhatic, is_smooth
 from invlat.permutation import InversionGraph, Permutation
-from util import all_perms, brute_colorings
+from util import acyclic_orientations_brute, all_perms, brute_colorings
 
 W4132 = Permutation((4, 1, 3, 2))
 

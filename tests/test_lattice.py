@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlat.bruhat import interval_size
-from invlat.chromatic import acyclic_orientations_brute, chromatic_of
+from invlat.chromatic import chromatic_of
 from invlat.lattice import (
     SetPartition,
     betti_numbers,
@@ -19,7 +19,7 @@ from invlat.permutation import (
     reduced_expression,
 )
 from lattice_oracle import oracle_lattice, oracle_mobius, refines
-from util import all_perms, bond_partitions_oracle
+from util import acyclic_orientations_brute, all_perms, bond_partitions_oracle
 
 W4132 = Permutation((4, 1, 3, 2))
 W4231 = Permutation((4, 2, 3, 1))

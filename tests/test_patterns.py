@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from invlat.bruhat import bruhat_leq, distances_from, ideal_size_table
-from invlat.chromatic import acyclic_orientations_brute
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     SMOOTH_PATTERNS,
@@ -19,7 +18,7 @@ from invlat.patterns import (
     witness_below,
 )
 from invlat.permutation import InversionGraph, Permutation, parse_permutation
-from util import all_perms, contains_oracle
+from util import acyclic_orientations_brute, all_perms, contains_oracle
 
 W4231 = Permutation((4, 2, 3, 1))
 
