@@ -9,8 +9,6 @@ from invlat.bruhat import (
     interval_size,
     rank_matrix,
     right_hull,
-    weak_leq_left,
-    weak_leq_right,
 )
 from invlat.chromatic import (
     IntPoly,
@@ -102,7 +100,5 @@ __all__ = [
     "verify_going_down",
     "verify_injective",
     "verify_surjective",
-    "weak_leq_left",
-    "weak_leq_right",
     "witness_below",
 ]

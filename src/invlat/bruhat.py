@@ -1,6 +1,6 @@
 """Bruhat order on the symmetric group: comparison backends, the lower
 interval's size and length counts, its enumeration with directed distances
-in the Bruhat graph, and the weak orders."""
+in the Bruhat graph, and the downward covers in the two-sided weak order."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, Transposition
+from invlat.permutation import Permutation
 
 
 def rank_matrix(w: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -45,28 +45,13 @@ def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RightHull:
-    """Mask of squares with a rook weakly south-west and weakly north-east."""
+    """Mask of every square with a rook weakly south-west and weakly north-east."""
 
     n: int
     rows: tuple[int, ...]  # bit j-1 of rows[i-1] set iff square (i, j) in hull
 
     def contains(self, i: int, j: int) -> bool:
         return bool(self.rows[i - 1] >> (j - 1) & 1)
-
-    def squares(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.contains(i, j)
-        )
-
-    def to_lines(self) -> tuple[str, ...]:
-        """One text row per board row, '#' inside the hull."""
-        return tuple(
-            "".join("#" if self.contains(i, j) else "." for j in range(1, self.n + 1))
-            for i in range(1, self.n + 1)
-        )
 
 
 def right_hull(w: Permutation) -> RightHull:
@@ -100,7 +85,7 @@ def _rank_bound(w: Permutation) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=256)
 def _bubble_constraints(w: Permutation) -> tuple[tuple[int, int, int], ...]:
-    """(i, j, R_w[i][j]) over the bubble squares of w, computed once per w."""
+    """(i, j, R_w[i][j]) over the bubbles of w, computed once per w."""
     wr = rank_matrix(w)
     return tuple((i, j, wr[i - 1][j - 1]) for i, j in sorted(bubbles(w)))
 
@@ -133,7 +118,7 @@ def bruhat_leq(u: Permutation, w: Permutation, method: str = "auto") -> bool:
     """u <= w in the Bruhat order.
 
     Backends: 'rank' compares the full rank matrices, 'bubble' only the
-    bubble squares of w, 'hull' tests that every rook of u lies in the right
+    bubbles of w, 'hull' tests that every rook of u lies in the right
     hull of w (valid only when w avoids the four patterns).  'auto' uses the
     bubble criterion.
     """
@@ -286,46 +271,6 @@ def directed_distance(u: Permutation, w: Permutation) -> int:
         return dist[u.word]
     except KeyError:
         raise ValueError(f"{u} is not below {w} in the Bruhat order") from None
-
-
-@dataclass(frozen=True)
-class BruhatGraph:
-    """The Bruhat graph restricted to [e, w]: edges x -> tx raising length."""
-
-    w: Permutation
-    vertices: tuple[Permutation, ...]
-    edges: tuple[tuple[Permutation, Permutation, Transposition], ...]
-
-
-def bruhat_graph(w: Permutation) -> BruhatGraph:
-    vertices = interval(w)
-    vertex_set = {v.word for v in vertices}
-    n = w.n
-    edges = []
-    for x in vertices:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if x.word[i] < x.word[j]:
-                    word = list(x.word)
-                    word[i], word[j] = word[j], word[i]
-                    t = tuple(word)
-                    if t in vertex_set:
-                        edges.append(
-                            (x, Permutation(t), Transposition(i + 1, j + 1))
-                        )
-    return BruhatGraph(w, tuple(vertices), tuple(edges))
-
-
-def weak_leq_right(u: Permutation, w: Permutation) -> bool:
-    """Right weak order: the inversion set of u is contained in that of w."""
-    if u.n != w.n:
-        raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    return set(u.inversions()) <= set(w.inversions())
-
-
-def weak_leq_left(u: Permutation, w: Permutation) -> bool:
-    """Left weak order: right weak order of the inverses."""
-    return weak_leq_right(u.inverse(), w.inverse())
 
 
 def two_sided_weak_covers(w: Permutation) -> set[Permutation]:

@@ -1,28 +1,20 @@
-"""Frozen reference data for the permutation 4132 and the comparison that
-the ``golden`` CLI command runs.
+"""Frozen reference data for the permutation 4132, and its comparison with
+the report that ``invlat analyze 4132`` prints.
 
 Every value below is pinned: the hyperplane order comes from the expression
 s1 s2 s3 s2, the lattice has ten elements with exactly these cover labels,
-and the twelve decreasing chains map onto the whole interval.
+and the twelve decreasing chains map onto the whole interval.  No value is
+computed again here: ``compare`` reads each one off the report of
+``cli.analyze`` (the reflections via the report's reduced expression), so
+the golden check pins what ``invlat analyze 4132`` prints.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from invlat.bruhat import interval_size
-from invlat.chromatic import (
-    chi_distance_transform,
-    chromatic_of,
-    distance_poly,
-    opy_chromatic,
-)
-from invlat.lattice import betti_numbers, build_lattice, mobius_values
-from invlat.permutation import Permutation, opy_exponents, reduced_expression
-from invlat.phimap import is_injective, missed_elements, phi_table
-
-GOLDEN_WORD = "4132"
-GOLDEN_EXPRESSION = (1, 2, 3, 2)
+from invlat.chromatic import IntPoly
+from invlat.permutation import reflection_sequence
 
 GOLDEN = {
     "w": "4132",
@@ -99,60 +91,53 @@ GOLDEN = {
 }
 
 
-def generate() -> dict[str, Any]:
-    """Recompute every golden quantity from scratch, in the fixture's shape."""
-    w = Permutation((4, 1, 3, 2))
-    lattice = build_lattice(w, GOLDEN_EXPRESSION)
-    mu = mobius_values(lattice)
-    table = phi_table(w, lattice=lattice)
-    chi = chromatic_of(w)
-    dpoly = distance_poly(w)
+def fixture_view(report: dict[str, Any]) -> dict[str, Any]:
+    """The fields of an ``analyze`` report that the fixture pins, in its
+    shape."""
+    lattice = report["lattice"]
     return {
-        "w": str(w),
-        "expression": list(GOLDEN_EXPRESSION),
-        "reflections": [[t.i, t.j] for t in lattice.hyperplanes],
-        "br": interval_size(w),
-        "re": sum(mu.values()),
-        "lattice_elements": [str(x) for x in lattice.elements],
-        "lattice_covers": [
-            [str(a), str(b), label] for a, b, label in lattice.cover_labels()
+        "w": report["w"],
+        "expression": report["reduced_expression"],
+        "reflections": [
+            [t.i, t.j]
+            for t in reflection_sequence(report["n"], report["reduced_expression"])
         ],
-        "mobius": {str(x): value for x, value in mu.items()},
-        "betti": list(betti_numbers(lattice)),
+        "br": report["br"],
+        "re": report["re"],
+        "lattice_elements": lattice["elements"],
+        "lattice_covers": lattice["covers"],
+        "mobius": lattice["mobius"],
+        "betti": report["betti"],
         "chain_table": [
             {
-                "labels": list(entry.chain.labels),
-                "top": str(entry.chain.top),
-                "product": entry.product.cycle_string(),
-                "image": str(entry.image),
+                "labels": row["labels"],
+                "top": row["chain"][-1],
+                "product": row["product"],
+                "image": row["image"],
             }
-            for entry in table
+            for row in report["phi_table"]
         ],
-        "chromatic_text": chi.text("t"),
-        "chromatic_coeffs": chi.to_json(),
-        "opy_exponents": list(opy_exponents(w)),
-        "distance_text": dpoly.text("q"),
-        "distance_coeffs": dpoly.to_json(),
-        "identity_holds": dpoly == chi_distance_transform(chi, w.n),
-        "injective": is_injective(table),
-        "surjective": not missed_elements(w, table),
+        "chromatic_text": report["chromatic"]["text"],
+        "chromatic_coeffs": report["chromatic"]["coeffs"],
+        "opy_exponents": report["opy_exponents"],
+        "distance_text": report["distance_poly"]["text"],
+        "distance_coeffs": report["distance_poly"]["coeffs"],
+        "identity_holds": report["identity_holds"],
+        "injective": report["phi_injective"],
+        "surjective": report["phi_surjective"],
     }
 
 
-def compare() -> tuple[bool, list[str], dict[str, Any]]:
-    """Regenerate and diff against the fixture; also cross-pins the canonical
-    expression and the smooth product formula for 4132."""
-    actual = generate()
+def compare(report: dict[str, Any]) -> tuple[bool, list[str], dict[str, Any]]:
+    """Diff the ``analyze`` report of 4132 against the fixture; also
+    cross-pins the smooth product formula against the chromatic polynomial."""
+    actual = fixture_view(report)
     diffs = []
     for key in GOLDEN:
         if actual.get(key) != GOLDEN[key]:
             diffs.append(f"{key}: expected {GOLDEN[key]!r}, got {actual.get(key)!r}")
-    w = Permutation((4, 1, 3, 2))
-    if reduced_expression(w) != GOLDEN_EXPRESSION:
-        diffs.append(
-            f"canonical expression {reduced_expression(w)!r} != {GOLDEN_EXPRESSION!r}"
-        )
-    if opy_chromatic(w) != chromatic_of(w):
+    product = IntPoly.from_roots(report["opy_exponents"] or ())
+    if product.to_json() != report["chromatic"]["coeffs"]:
         diffs.append("smooth product formula disagrees with deletion-contraction")
     if len(GOLDEN["chain_table"]) != 12:
         diffs.append("fixture chain table must have 12 rows")

@@ -92,9 +92,6 @@ class DecreasingChain:
     def top(self) -> SetPartition:
         return self.elements[-1]
 
-    def label_word(self) -> str:
-        return "".join(f"t{j}" for j in self.labels) if self.labels else "-"
-
 
 def _points(mask: int) -> tuple[int, ...]:
     """The 1-based points of a block bitmask, ascending."""

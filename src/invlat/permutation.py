@@ -33,7 +33,7 @@ class Permutation:
     >>> w(1), w(4)
     (4, 2)
     >>> str(w.inverse()), str(w * w.inverse())
-    ('2413', '1234')
+    ('2431', '1234')
     """
 
     __slots__ = ("word", "_hash")
@@ -131,10 +131,6 @@ class Permutation:
         for pos, v in enumerate(self.word, 1):
             inv[v - 1] = pos
         return Permutation(inv)
-
-    def transpose(self) -> "Permutation":
-        """Transpose of the rook diagram; equals the inverse."""
-        return self.inverse()
 
     def rotate(self) -> "Permutation":
         """180-degree rotation of the rook diagram: w0 * w * w0."""
@@ -377,9 +373,6 @@ class InversionGraph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks over 0-based vertices, for the kernels."""
         return self.masks
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -217,36 +217,20 @@ def _betti_failures(w: Permutation) -> Optional[dict]:
     and lattice Betti numbers, with equality at the maximal index."""
     ell = w.length()
     lengths = interval_length_counts(w)
-    betti = list(betti_numbers(build_lattice(w)))
-
-    def b(i: int) -> int:
-        return lengths[i] if 0 <= i < len(lengths) else 0
-
-    def beta(i: int) -> int:
-        return betti[i] if 0 <= i < len(betti) else 0
-
+    betti = betti_numbers(build_lattice(w))
     bad: list[str] = []
-    for r in range(ell + 1):
-        lhs = sum(b(ell - i) for i in range(r + 1))
-        rhs = sum(beta(i) for i in range(r + 1))
-        if lhs > rhs:
-            bad.append(f"line1 r={r}: {lhs} > {rhs}")
-        if r == ell and lhs != rhs:
-            bad.append(f"line1 equality at r={r}: {lhs} != {rhs}")
-    for r in range(ell // 2 + 1):
-        lhs = sum(b(ell - 2 * j) for j in range(r + 1))
-        rhs = sum(beta(2 * j) for j in range(r + 1))
-        if lhs > rhs:
-            bad.append(f"line2 r={r}: {lhs} > {rhs}")
-        if r == ell // 2 and lhs != rhs:
-            bad.append(f"line2 equality at r={r}: {lhs} != {rhs}")
-    for r in range((ell - 1) // 2 + 1):
-        lhs = sum(b(ell - 2 * j - 1) for j in range(r + 1))
-        rhs = sum(beta(2 * j + 1) for j in range(r + 1))
-        if lhs > rhs:
-            bad.append(f"line3 r={r}: {lhs} > {rhs}")
-        if r == (ell - 1) // 2 and lhs != rhs:
-            bad.append(f"line3 equality at r={r}: {lhs} != {rhs}")
+    for name, first, step in (("line1", 0, 1), ("line2", 0, 2), ("line3", 1, 2)):
+        # Partial sums over the indices first, first + step, ... <= ell.
+        last = (ell - first) // step
+        lhs = rhs = 0
+        for r in range(last + 1):
+            i = first + step * r
+            lhs += lengths[ell - i]
+            rhs += betti[i] if i < len(betti) else 0
+            if lhs > rhs:
+                bad.append(f"{name} r={r}: {lhs} > {rhs}")
+            if r == last and lhs != rhs:
+                bad.append(f"{name} equality at r={r}: {lhs} != {rhs}")
     if bad:
         return {"w": str(w), "violations": bad}
     return None

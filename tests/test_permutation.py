@@ -73,7 +73,6 @@ class TestGroupOps:
         for w in all_perms(n):
             assert w.inverse().inverse() == w
             assert w.rotate().rotate() == w
-            assert w.transpose() == w.inverse()
 
     def test_rotate_identity_fixed(self):
         assert Permutation.identity(4).rotate() == Permutation.identity(4)
@@ -85,10 +84,11 @@ class TestGroupOps:
         assert W4132.rotate() == Permutation((3, 2, 4, 1))
 
     def test_transpose_flips_rook_diagram(self):
-        w = parse_permutation("35124")
-        rooks = {(i, w(i)) for i in range(1, 6)}
-        trooks = {(i, w.transpose()(i)) for i in range(1, 6)}
-        assert trooks == {(j, i) for i, j in rooks}
+        # The inverse is the transpose of the rook diagram.
+        for w in [parse_permutation("35124"), *all_perms(4)]:
+            rooks = {(i, w(i)) for i in range(1, w.n + 1)}
+            trooks = {(i, w.inverse()(i)) for i in range(1, w.n + 1)}
+            assert trooks == {(j, i) for i, j in rooks}
 
 
 class TestInversions:
@@ -214,8 +214,8 @@ class TestInversionGraph:
         g = InversionGraph.of(W4132)
         assert g.n == 4
         assert g.edges == frozenset(W4132.inversions())
-        assert g.edge_count() == W4132.length()
         masks = g.adjacency_masks()
+        assert sum(m.bit_count() for m in masks) // 2 == W4132.length()
         for a, b in g.edges:
             assert masks[a - 1] >> (b - 1) & 1
             assert masks[b - 1] >> (a - 1) & 1
@@ -223,7 +223,8 @@ class TestInversionGraph:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_edge_count_everywhere(self, n):
         for w in all_perms(n):
-            assert InversionGraph.of(w).edge_count() == w.length()
+            masks = InversionGraph.of(w).masks
+            assert sum(m.bit_count() for m in masks) // 2 == w.length()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_masks_from_the_word_match_the_edge_list(self, n):

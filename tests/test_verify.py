@@ -1,6 +1,7 @@
 import pytest
 
 from invlat import verify
+from invlat.permutation import Permutation
 
 
 class TestRunCheck:
@@ -132,3 +133,54 @@ class TestRunCheck:
     def test_summary_line(self):
         report = verify.run_check("weak-chain", 3)
         assert report.summary().startswith("PASS weak-chain n=3")
+
+
+class TestBettiFailures:
+    """The exact violation strings of the betti check, on 4132 with one
+    interval length count moved: lengths (1, 3, 4, 3, 1) against Betti
+    numbers (1, 4, 5, 2), so the top-down partial sums are tight at r = 0
+    and at the last index of each line."""
+
+    W = Permutation((4, 1, 3, 2))
+
+    # (length moved, change) -> violations, in the order they are reported.
+    # Length 4 = l(w) - 0 feeds line2, length 3 = l(w) - 1 feeds line3,
+    # and every length feeds line1.
+    CASES = {
+        (4, 1): [
+            "line1 r=0: 2 > 1",
+            "line1 r=4: 13 > 12",
+            "line1 equality at r=4: 13 != 12",
+            "line2 r=0: 2 > 1",
+            "line2 r=2: 7 > 6",
+            "line2 equality at r=2: 7 != 6",
+        ],
+        (3, 1): [
+            "line1 r=4: 13 > 12",
+            "line1 equality at r=4: 13 != 12",
+            "line3 r=1: 7 > 6",
+            "line3 equality at r=1: 7 != 6",
+        ],
+        (4, -1): [
+            "line1 equality at r=4: 11 != 12",
+            "line2 equality at r=2: 5 != 6",
+        ],
+        (3, -1): [
+            "line1 equality at r=4: 11 != 12",
+            "line3 equality at r=1: 5 != 6",
+        ],
+    }
+
+    @pytest.mark.parametrize("moved", sorted(CASES))
+    def test_violations_with_one_count_moved(self, monkeypatch, moved):
+        length, change = moved
+        counts = list(verify.interval_length_counts(self.W))
+        assert counts == [1, 3, 4, 3, 1]
+        counts[length] += change
+        monkeypatch.setattr(
+            verify, "interval_length_counts", lambda w: tuple(counts)
+        )
+        assert verify._betti_failures(self.W) == {
+            "w": "4132",
+            "violations": self.CASES[moved],
+        }

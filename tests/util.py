@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: pattern
 containment tries every index subset, distances walk the full group, the
 permanent sums over permutations, acyclic orientations are tried one by
-one, and bond-lattice elements come from raw edge-subset enumeration.
+one, bond-lattice elements come from raw edge-subset enumeration, and the
+weak orders compare inversion sets.
 """
 
 from __future__ import annotations
@@ -93,6 +94,16 @@ def acyclic_orientations_brute(g: InversionGraph) -> int:
                     ready.append(u)
         count += removed == n
     return count
+
+
+def weak_leq_right(u: Permutation, w: Permutation) -> bool:
+    """Right weak order: the inversion set of u is contained in that of w."""
+    return set(u.inversions()) <= set(w.inversions())
+
+
+def weak_leq_left(u: Permutation, w: Permutation) -> bool:
+    """Left weak order: right weak order of the inverses."""
+    return weak_leq_right(u.inverse(), w.inverse())
 
 
 def full_graph_distance(u: Permutation, w: Permutation) -> int | None:
