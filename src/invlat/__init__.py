@@ -27,7 +27,6 @@ from invlat.lattice import (
     build_lattice,
     decreasing_chains,
     mobius_values,
-    region_count,
 )
 from invlat.patterns import (
     contains,
@@ -94,7 +93,6 @@ __all__ = [
     "reduced_expression",
     "reduction_step",
     "reflection_sequence",
-    "region_count",
     "right_hull",
     "verify_characterization",
     "verify_going_down",

@@ -202,35 +202,6 @@ def interval_size(w: Permutation) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def ideal_size_table(n: int) -> dict[tuple[int, ...], int]:
-    """br(w) for every w in S_n at once, keyed by word.
-
-    The DP of ``interval_length_counts`` with plain counts, run once along a
-    depth-first walk over all prefixes of S_n: a node grows its prefixes of
-    u once and each child keeps those its own prefix dominates, so words
-    that share a prefix share its work.  All of S_8 takes about 0.85 s at a
-    22 MB process peak, S_9 about 8 s at 94 MB (Python 3.11, one core).
-    """
-    full = (1 << n) - 1
-    sizes: dict[tuple[int, ...], int] = {}
-    dominated = functools.cache(lambda top: _dominated_sets(top, n))
-
-    def walk(word: tuple[int, ...], top: int, level: dict[int, int]) -> None:
-        if top == full:
-            sizes[word] = level[full]
-            return
-        grown = _grow(level, n, 0)
-        for v in range(1, n + 1):
-            child = top | 1 << (v - 1)
-            if child != top:
-                keep = dominated(child)
-                walk(word + (v,), child, {t: c for t, c in grown.items() if t in keep})
-
-    walk((), 0, {0: 1})
-    return sizes
-
-
-@functools.lru_cache(maxsize=4)
 def distances_from(w: Permutation) -> Mapping[tuple[int, ...], int]:
     """Directed Bruhat-graph distance to w from every u <= w.
 

@@ -1,12 +1,13 @@
-"""Chromatic polynomials of inversion graphs, acyclic-orientation counts,
-the smooth-permutation product formula, and the Bruhat-distance generating
+"""Chromatic polynomials of inversion graphs and their acyclic-orientation
+counts, both read off one colouring DP over the permutation's word; the
+smooth-permutation product formula; and the Bruhat-distance generating
 function identity."""
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
-from invlat import kernels
 from invlat.bruhat import distances_from
 from invlat.patterns import is_smooth
 from invlat.permutation import InversionGraph, Permutation, opy_exponents
@@ -124,30 +125,92 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-def chromatic_polynomial(g: InversionGraph) -> IntPoly:
-    """Chromatic polynomial of the inversion graph, by memoized
-    deletion-contraction.
+def _colour_step(level: dict[int, int], v: int) -> dict[int, int]:
+    """Append the value v to every colouring counted in ``level``.
 
-    Monic of degree n with alternating-sign coefficients.  The kernel runs
-    on the labelled adjacency masks with one memo shared by every call in
-    the process, so a sweep over S_n, or the per-block polynomials of one
-    lattice, reuse each other's sub-graphs.
+    A proper colouring of an inversion graph splits the positions into
+    increasing subsequences, so a prefix's colourings are counted by the set
+    of their classes' maxima (an n-bit mask of values).  The new value opens
+    a class of its own or becomes the maximum of a class whose maximum is
+    smaller.
     """
-    return IntPoly(kernels.chromatic_coeffs(g.adjacency_masks()))
+    bit = 1 << (v - 1)
+    grown: dict[int, int] = {}
+    for s, count in level.items():
+        grown[s | bit] = grown.get(s | bit, 0) + count
+        below = s & (bit - 1)
+        while below:
+            b = below & -below
+            below ^= b
+            t = (s ^ b) | bit
+            grown[t] = grown.get(t, 0) + count
+    return grown
+
+
+def _class_counts(word: Sequence[int]) -> list[int]:
+    """Entry j counts the partitions of the positions into j increasing
+    subsequences: the proper colourings that use exactly j classes."""
+    level = {0: 1}
+    for v in word:
+        level = _colour_step(level, v)
+    counts = [0] * (len(word) + 1)
+    for s, count in level.items():
+        counts[s.bit_count()] += count
+    return counts
+
+
+def _word_of(g: InversionGraph) -> tuple[int, ...]:
+    """The word whose inversion graph is ``g``, labels included.
+
+    w(i) - 1 counts the positions holding smaller values: the earlier ones
+    not adjacent to i and the later ones adjacent to it.  Raises ValueError
+    when ``g`` is no permutation's inversion graph.
+    """
+    word = tuple(
+        1 + i - (m & ((1 << i) - 1)).bit_count() + (m >> (i + 1)).bit_count()
+        for i, m in enumerate(g.masks)
+    )
+    if (
+        sorted(word) != list(range(1, g.n + 1))
+        or InversionGraph.of(Permutation(word)) != g
+    ):
+        raise ValueError("the graph is not the inversion graph of a permutation")
+    return word
+
+
+def _chromatic_of_word(word: Sequence[int]) -> IntPoly:
+    # chi(t) is the sum over j of (colourings with j classes) t(t-1)...(t-j+1).
+    return sum(
+        (IntPoly.from_roots(range(j)) * a for j, a in enumerate(_class_counts(word))),
+        IntPoly(),
+    )
+
+
+def chromatic_polynomial(g: InversionGraph) -> IntPoly:
+    """Chromatic polynomial of the inversion graph, by the colouring DP on
+    the word the graph recovers (``_word_of``).
+
+    Monic of degree n with alternating-sign coefficients.  Raises ValueError
+    for a labelled graph that is no permutation's inversion graph.
+    """
+    return _chromatic_of_word(_word_of(g))
 
 
 def chromatic_of(w: Permutation) -> IntPoly:
-    return chromatic_polynomial(InversionGraph.of(w))
+    return _chromatic_of_word(w.word)
 
 
 def acyclic_orientations(g: InversionGraph) -> int:
-    """Number of acyclic orientations, by the kernels' own memoized
-    deletion-contraction a(G) = a(G - e) + a(G / e).
+    """Number of acyclic orientations, which is (-1)^n chi(-1) (Stanley),
+    read off the colouring DP's class counts as the sum over j of
+    (-1)^(n+j) j! times the colourings with j classes.
 
-    This is (-1)^n chi(-1) (Stanley), but no chromatic polynomial is built;
-    the tests keep that formula as the oracle.
+    >>> acyclic_orientations(InversionGraph.of(Permutation((4, 1, 3, 2))))
+    12
     """
-    return kernels.acyclic_orientation_count(g.adjacency_masks())
+    counts = _class_counts(_word_of(g))
+    n = g.n
+    return sum((-1) ** (n + j) * factorial(j) * a for j, a in enumerate(counts))
 
 
 def opy_chromatic(w: Permutation) -> IntPoly:

@@ -138,7 +138,5 @@ def compare(report: dict[str, Any]) -> tuple[bool, list[str], dict[str, Any]]:
             diffs.append(f"{key}: expected {GOLDEN[key]!r}, got {actual.get(key)!r}")
     product = IntPoly.from_roots(report["opy_exponents"] or ())
     if product.to_json() != report["chromatic"]["coeffs"]:
-        diffs.append("smooth product formula disagrees with deletion-contraction")
-    if len(GOLDEN["chain_table"]) != 12:
-        diffs.append("fixture chain table must have 12 rows")
+        diffs.append("smooth product formula disagrees with the chromatic polynomial")
     return (not diffs, diffs, actual)

@@ -280,12 +280,3 @@ def betti_numbers(lattice: IntersectionLattice) -> tuple[int, ...]:
         out[x.rank] += value
     return tuple(out)
 
-
-def region_count(w: Permutation, expression: Optional[Sequence[int]] = None) -> int:
-    """Number of regions of the inversion arrangement of w.
-
-    Computed as the total Mobius mass of the intersection lattice; the
-    arrangement may be taken essentialized without changing the count.
-    """
-    lattice = build_lattice(w, expression)
-    return sum(mobius_values(lattice).values())

@@ -370,10 +370,6 @@ class InversionGraph:
             if m >> b & 1
         )
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks over 0-based vertices, for the kernels."""
-        return self.masks
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, InversionGraph)

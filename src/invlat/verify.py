@@ -3,27 +3,32 @@
 Each check scans the whole symmetric group in lexicographic order and
 reports counterexamples.  Each check computes its per-permutation data once,
 for the failure test and the payload counters together.  The count-only
-sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) from
-``ideal_size_table``, one prefix-set DP walk over all of S_n, and ao(w)
-from the process-wide acyclic-orientation memo of ``invlat.kernels``, so
-they build no chromatic polynomial for it.
+sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
+ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
+that carries the prefix-set DP for br and the colouring DP for ao side by
+side, so words that share a prefix share its work and no table of n!
+entries is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from itertools import starmap
+from math import factorial
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from invlat.bruhat import (
+    _dominated_sets,
+    _grow,
     bruhat_leq,
-    ideal_size_table,
     interval_length_counts,
     two_sided_weak_covers,
 )
 from invlat.chromatic import (
     IntPoly,
-    acyclic_orientations,
+    _colour_step,
     chromatic_identity_holds,
     chromatic_of,
     opy_chromatic,
@@ -38,7 +43,6 @@ from invlat.patterns import (
     reduction_step,
 )
 from invlat.permutation import (
-    InversionGraph,
     Permutation,
     all_permutations,
     all_reduced_expressions,
@@ -120,13 +124,10 @@ class _Scan:
         self.counts[key] = self.counts.get(key, 0) + amount
 
 
-def _run_per_w(
-    n: int,
-    one: Callable[[Permutation], tuple[Optional[dict], dict[str, int]]],
-) -> _Scan:
-    """Scan S_n with ``one(w) -> (failure or None, payload counts)``."""
+def _scan(results: Iterable[tuple[Optional[dict], dict[str, int]]]) -> _Scan:
+    """Collect ``(failure or None, payload counts)`` pairs, in order."""
     scan = _Scan()
-    for failure, counts in map(one, all_permutations(n)):
+    for failure, counts in results:
         if failure is not None:
             scan.failures.append(failure)
         for key, amount in counts.items():
@@ -134,31 +135,75 @@ def _run_per_w(
     return scan
 
 
-def _check_conjecture_a(n: int, options: dict) -> _Scan:
-    sizes = ideal_size_table(n)
+def _run_per_w(
+    n: int,
+    one: Callable[[Permutation], tuple[Optional[dict], dict[str, int]]],
+) -> _Scan:
+    """Scan S_n with ``one(w) -> (failure or None, payload counts)``."""
+    return _scan(map(one, all_permutations(n)))
 
-    def one(w: Permutation):
-        re = acyclic_orientations(InversionGraph.of(w))
-        br = sizes[w.word]
-        failure = {"w": str(w), "re": re, "br": br} if re > br else None
+
+def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield ``(word, br, ao)`` for every w of S_n, in lexicographic order.
+
+    A depth-first walk over the prefixes of w carries two DPs down: the
+    prefix sets of the u <= w so far (``interval_length_counts`` with plain
+    counts), and the colourings of the prefix's inversion graph by their
+    classes' maxima (``chromatic._colour_step``).  The last value is
+    forced, so the leaves are read one level early: every surviving prefix
+    set of u completes to one u <= w, and the last value opens a class or
+    takes over one of the maxima below it.
+    """
+    full = (1 << n) - 1
+    # sf[j] is the weight (-1)^(n+j) j! of a colouring with j classes in ao.
+    sf = [(-1) ** (n + j) * factorial(j) for j in range(n + 1)]
+    dominated = functools.cache(lambda top: _dominated_sets(top, n))
+
+    def walk(word, top, ideals, colours):
+        if len(word) == n - 1:
+            v = (full ^ top).bit_length()
+            below = (1 << (v - 1)) - 1
+            ao = 0
+            for s, count in colours.items():
+                j = s.bit_count()
+                ao += count * (sf[j + 1] + (s & below).bit_count() * sf[j])
+            yield word + (v,), sum(ideals.values()), ao
+            return
+        grown = _grow(ideals, n, 0)
+        for v in range(1, n + 1):
+            child = top | 1 << (v - 1)
+            if child != top:
+                keep = dominated(child)
+                yield from walk(
+                    word + (v,),
+                    child,
+                    {t: c for t, c in grown.items() if t in keep},
+                    _colour_step(colours, v),
+                )
+
+    yield from walk((), 0, {0: 1}, {0: 1})
+
+
+def _check_conjecture_a(n: int, options: dict) -> _Scan:
+    def one(word, br, re):
+        failure = None
+        if re > br:
+            failure = {"w": str(Permutation(word)), "re": re, "br": br}
         return failure, {"equal": int(re == br)}
 
-    return _run_per_w(n, one)
+    return _scan(starmap(one, _count_walk(n)))
 
 
 def _check_conjecture_b(n: int, options: dict) -> _Scan:
-    sizes = ideal_size_table(n)
-
-    def one(w: Permutation):
-        re = acyclic_orientations(InversionGraph.of(w))
-        br = sizes[w.word]
+    def one(word, br, re):
+        w = Permutation(word)
         avoiding = is_chromobruhatic(w)
         failure = None
         if (re == br) != avoiding:
             failure = {"w": str(w), "re": re, "br": br, "avoiding": avoiding}
         return failure, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, one)
+    return _scan(starmap(one, _count_walk(n)))
 
 
 def _check_phi_injective(n: int, options: dict) -> _Scan:
@@ -276,7 +321,8 @@ def _check_opy(n: int, options: dict) -> _Scan:
 
 def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
     """Check the recurrences at ``found``, the reduction pair of ``w`` (or
-    None when ``find_reduction_pair`` found none)."""
+    None when ``find_reduction_pair`` found none); ``tables[m][word]`` holds
+    (br, ao) for the words of S_m."""
     if found is None:
         if not w.is_identity():
             return {"w": str(w), "reason": "no reduction pair found"}
@@ -300,10 +346,10 @@ def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
         return {"w": str(w), "reason": "swap did not go down in Bruhat order"}
 
     def br(u: Permutation) -> int:
-        return tables[u.n][u.word]
+        return tables[u.n][u.word][0]
 
     def ao(u: Permutation) -> int:
-        return acyclic_orientations(InversionGraph.of(u))
+        return tables[u.n][u.word][1]
 
     bad = []
     if pair.kind == "light":
@@ -335,7 +381,11 @@ def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
 
 
 def _check_recurrences(n: int, options: dict) -> _Scan:
-    tables = {m: ideal_size_table(m) for m in range(max(1, n - 2), n + 1)}
+    # (br, ao) of every word of S_n, S_(n-1) and S_(n-2).
+    tables = {
+        m: {word: (br, ao) for word, br, ao in _count_walk(m)}
+        for m in range(max(1, n - 2), n + 1)
+    }
 
     def one(w: Permutation):
         if w.is_identity() or not is_chromobruhatic(w):

@@ -1,38 +1,26 @@
-"""The hot kernels: memoised deletion-contraction for chromatic polynomials
-and for acyclic-orientation counts.
+"""Deletion-contraction for chromatic polynomials and for acyclic-orientation
+counts: the test oracle for the library's colouring DP.
 
 Both recursions peel isolated and degree-1 vertices, split connected
 components, short-circuit complete graphs and otherwise delete and contract
-the same edge; each keeps its own process-wide memo on labelled graphs.
+the same edge.  Unlike the DP they take any simple graph, not only an
+inversion graph.  Each call keeps its own memo on labelled graphs.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-IMPLEMENTATION = "python"
-
-# Chromatic coefficients of every graph the recursion has met, keyed by its
-# labelled neighbour-mask tuple and shared by every call in the process: the
-# inversion graphs of a sweep over S_n have many sub-graphs in common.
-# Values are tuples, so no caller can alter an entry.
-_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-# Acyclic-orientation counts, shared the same way but keyed by one packed
-# int per graph (``_key``), which costs far less memory than a tuple key
-# with a tuple value.
-_ao_memo: dict[int, int] = {}
-
 
 def chromatic_coeffs(masks) -> tuple[int, ...]:
     """Chromatic polynomial of a simple graph, ascending coefficients.
 
     The graph is given by 0-based neighbor bitmasks.  Deletion-contraction
-    with the process-wide memo on labelled graphs, after peeling isolated and
-    degree-1 vertices, splitting connected components, and short-circuiting
-    edgeless and complete graphs.
+    with a memo on labelled graphs for this one call, after peeling isolated
+    and degree-1 vertices, splitting connected components, and
+    short-circuiting edgeless and complete graphs.
     """
-    return _chi(tuple(masks), _memo)
+    return _chi(tuple(masks), {})
 
 
 def acyclic_orientation_count(masks) -> int:
@@ -41,9 +29,9 @@ def acyclic_orientation_count(masks) -> int:
 
     Stanley's deletion-contraction a(G) = a(G - e) + a(G / e), with a factor
     1 per isolated vertex, 2 per pendant vertex, k! for K_k and the product
-    over components, memoised process-wide on packed labelled graphs.
+    over components, memoised on labelled graphs for this one call.
     """
-    return _ao(tuple(masks), _ao_memo)
+    return _ao(tuple(masks), {})
 
 
 def _chi(masks: tuple, memo: dict) -> tuple:
@@ -79,8 +67,7 @@ def _chi(masks: tuple, memo: dict) -> tuple:
 def _ao(masks: tuple, memo: dict) -> int:
     if not masks:
         return 1
-    key = _key(masks)
-    cached = memo.get(key)
+    cached = memo.get(masks)
     if cached is not None:
         return cached
 
@@ -99,20 +86,8 @@ def _ao(masks: tuple, memo: dict) -> int:
         # Stanley: a(G) = a(G - e) + a(G / e).
         deleted, contracted = _split_edge(work)
         res = _ao(deleted, memo) + _ao(contracted, memo)
-    memo[key] = res
+    memo[masks] = res
     return res
-
-
-def _key(masks: tuple) -> int:
-    """The neighbour masks of a k-vertex graph packed k bits apiece below a
-    sentinel bit at k*k, which tells graphs of different sizes apart."""
-    k = len(masks)
-    key = 1 << (k * k)
-    shift = 0
-    for m in masks:
-        key |= m << shift
-        shift += k
-    return key
 
 
 def _peel(masks: tuple) -> tuple[tuple, int, int]:

@@ -21,11 +21,10 @@ from invlat.chromatic import (
 )
 from invlat.cli import analyze
 from invlat.golden import compare
-from invlat.lattice import region_count
 from invlat.patterns import is_chromobruhatic, is_smooth
 from invlat.permutation import InversionGraph, Permutation
 from invlat.verify import run_check
-from util import acyclic_orientations_brute, all_perms
+from util import acyclic_orientations_brute, all_perms, region_count
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float) -> None:

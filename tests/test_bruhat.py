@@ -17,7 +17,6 @@ from invlat.bruhat import (
     bubbles,
     directed_distance,
     distances_from,
-    ideal_size_table,
     interval,
     interval_length_counts,
     interval_size,
@@ -25,11 +24,18 @@ from invlat.bruhat import (
     right_hull,
     two_sided_weak_covers,
 )
+from invlat.chromatic import acyclic_orientations
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, evaluate_word, parse_permutation
+from invlat.permutation import (
+    InversionGraph,
+    Permutation,
+    evaluate_word,
+    parse_permutation,
+)
 from util import (
     all_perms,
     brute_permanent,
+    count_table,
     full_graph_distance,
     weak_leq_left,
     weak_leq_right,
@@ -184,13 +190,18 @@ class TestInterval:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_ideal_size_table(self, n):
-        table = ideal_size_table(n)
+        # The count sweeps' walk yields every w in lexicographic order, with
+        # br(w) = |[e, w]| and ao(w) beside it.
+        table = count_table(n)
+        assert list(table) == [w.word for w in all_perms(n)]
         for w in all_perms(n):
-            assert table[w.word] == interval_size(w)
+            ao = acyclic_orientations(InversionGraph.of(w))
+            assert table[w.word] == (interval_size(w), ao)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ideal_size_table_against_bitset_oracle(self, n):
-        assert ideal_size_table(n) == bitset_ideal_table(n)
+        table = {word: br for word, (br, _) in count_table(n).items()}
+        assert table == bitset_ideal_table(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_longest_element_is_mahonian(self, n):
@@ -227,11 +238,11 @@ class TestInterval:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_br_symmetry_invariance(self, n):
-        table = ideal_size_table(n)
+        table = count_table(n)
         for w in all_perms(n):
-            br = table[w.word]
-            assert table[w.inverse().word] == br
-            assert table[w.rotate().word] == br
+            br = table[w.word][0]
+            assert table[w.inverse().word][0] == br
+            assert table[w.rotate().word][0] == br
 
 
 class TestPermanent:

@@ -1,8 +1,8 @@
 import pytest
 
-from invlat import kernels
 from invlat.chromatic import (
     IntPoly,
+    _word_of,
     acyclic_orientations,
     chi_distance_transform,
     chromatic_identity_holds,
@@ -68,7 +68,7 @@ class TestChromaticPolynomial:
     def test_counts_proper_colorings(self, n):
         for w in all_perms(n):
             chi = chromatic_of(w)
-            masks = InversionGraph.of(w).adjacency_masks()
+            masks = InversionGraph.of(w).masks
             for k in (1, 2, 3):
                 assert chi(k) == brute_colorings(masks, k)
 
@@ -84,11 +84,20 @@ class TestChromaticPolynomial:
                 c = chi.coefficient(d)
                 assert c == 0 or (c > 0) == ((n - d) % 2 == 0)
 
-    def test_cache_is_sound(self):
-        # Results read through the shared memo equal cold kernel runs.
-        for w in all_perms(5):
-            masks = InversionGraph.of(w).adjacency_masks()
-            assert chromatic_of(w).coeffs == kernels._chi(masks, {})
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_word_recovery_round_trips(self, n):
+        for w in all_perms(n):
+            g = InversionGraph.of(w)
+            assert _word_of(g) == w.word
+            assert chromatic_polynomial(g) == chromatic_of(w)
+
+    def test_non_inversion_graph_raises(self):
+        # The labelled 4-cycle 1-2-3-4-1 is the inversion graph of no
+        # permutation (3412 gives the 4-cycle 1-3-2-4-1).
+        cycle = InversionGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        for read in (chromatic_polynomial, acyclic_orientations):
+            with pytest.raises(ValueError, match="not the inversion graph"):
+                read(cycle)
 
 
 class TestAcyclicOrientations:

@@ -66,5 +66,5 @@ def test_golden_command_cross_pins_the_product_formula(monkeypatch, capsys):
     mismatches = [line.split(":")[0] for line in out.splitlines()[1:]]
     assert mismatches == [
         "  mismatch chromatic_coeffs",
-        "  mismatch smooth product formula disagrees with deletion-contraction",
+        "  mismatch smooth product formula disagrees with the chromatic polynomial",
     ]

@@ -1,19 +1,17 @@
-"""The kernels agree with brute force, whatever the shared memos hold."""
+"""Deletion-contraction, kept as the oracle, agrees with brute force, and the
+library's colouring DP agrees with deletion-contraction."""
 
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from invlat import kernels
+import chromatic_oracle
+from invlat.chromatic import acyclic_orientations, chromatic_polynomial
 from invlat.permutation import InversionGraph, Permutation
 from util import all_perms, brute_colorings, order_induced_orientations
 
-# The test ids carry the implementation name, ``[python]``.
-IMPLS = [kernels]
+# The test ids carry the name of the one implementation, ``[python]``.
+IMPLS = [chromatic_oracle]
 
 
 def _eval(coeffs, x):
@@ -33,7 +31,7 @@ def _random_graph(rng, n, p=0.5):
     return tuple(masks)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
+@pytest.mark.parametrize("impl", IMPLS, ids=["python"])
 class TestChromatic:
     def test_against_brute_colorings(self, impl):
         rng = random.Random(321)
@@ -71,30 +69,44 @@ class TestChromatic:
             assert _eval(coeffs, k) == (k * (k - 1)) ** 2
 
 
-def _chi_oracle(masks):
-    """(-1)^n chi(-1) from a cold chromatic run: the acyclic orientations."""
-    return (-1) ** len(masks) * _eval(kernels._chi(tuple(masks), {}), -1)
+def _assert_dp_matches_oracle(w):
+    """The colouring DP's chi and ao equal deletion-contraction's, and ao
+    is (-1)^n chi(-1) (Stanley)."""
+    g = InversionGraph.of(w)
+    chi = chromatic_oracle.chromatic_coeffs(g.masks)
+    ao = chromatic_oracle.acyclic_orientation_count(g.masks)
+    assert chromatic_polynomial(g).coeffs == chi
+    assert acyclic_orientations(g) == ao == (-1) ** w.n * _eval(chi, -1)
 
 
 class TestAcyclicOrientationCount:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_inversion_graph_against_chi(self, n):
         for w in all_perms(n):
-            masks = InversionGraph.of(w).adjacency_masks()
-            assert kernels.acyclic_orientation_count(masks) == _chi_oracle(masks)
+            _assert_dp_matches_oracle(w)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(
-        st.integers(8, 12)
-        .flatmap(lambda n: st.permutations(range(1, n + 1)))
-        .map(Permutation)
-    )
-    def test_sampled_n8_to_n12_against_chi(self, w):
-        masks = InversionGraph.of(w).adjacency_masks()
-        assert kernels.acyclic_orientation_count(masks) == _chi_oracle(masks)
+    def test_sampled_n8_to_n12_against_chi(self):
+        rng = random.Random(2024)
+        for n in range(8, 13):
+            for _ in range(20):
+                _assert_dp_matches_oracle(Permutation(rng.sample(range(1, n + 1), n)))
+
+    def test_extremes_of_s12(self):
+        # K_{6,6}, the hardest graph here for deletion-contraction, and the
+        # edgeless graph, where the DP keeps the most class-maxima sets.
+        _assert_dp_matches_oracle(Permutation((7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6)))
+        _assert_dp_matches_oracle(Permutation.identity(12))
+
+    def test_oracle_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            masks = _random_graph(rng, rng.randint(0, 7), rng.choice((0.2, 0.5, 0.8)))
+            assert chromatic_oracle.acyclic_orientation_count(
+                masks
+            ) == order_induced_orientations(masks)
 
     def test_known_families(self):
-        count = kernels.acyclic_orientation_count
+        count = chromatic_oracle.acyclic_orientation_count
         assert count(()) == 1
         assert count((0, 0, 0)) == 1
         assert count((0b11110, 1, 1, 1, 1)) == 2**4  # a tree with 4 edges
@@ -102,108 +114,15 @@ class TestAcyclicOrientationCount:
         assert count((6, 5, 3)) == 6  # triangle
         assert count((2 | 8, 1 | 4, 2 | 8, 1 | 4)) == 14  # 4-cycle
         assert count((14, 13, 11, 7)) == 24  # K4
-
-    def test_every_small_labelled_graph_has_its_own_key(self):
-        keys = set()
-        total = 0
-        for k in range(5):
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-            for bits in range(1 << len(pairs)):
-                masks = [0] * k
-                for b, (i, j) in enumerate(pairs):
-                    if bits >> b & 1:
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
-                keys.add(kernels._key(tuple(masks)))
-                total += 1
-        assert total == 1 + 1 + 2 + 8 + 64 and len(keys) == total
-
-
-def test_selected_kernel_exports():
-    assert kernels.IMPLEMENTATION == "python"
-    assert callable(kernels.chromatic_coeffs)
-    assert callable(kernels.acyclic_orientation_count)
-
-
-def _assert_history_free(masks):
-    """The value read through the shared memo equals a cold run with a
-    fresh memo and the brute-force colouring counts."""
-    warm = kernels.chromatic_coeffs(masks)
-    # A tuple, so no caller can alter the memo entry it was handed.
-    assert type(warm) is tuple
-    assert warm == kernels._chi(tuple(masks), {})
-    for k in (1, 2, 3):
-        assert _eval(warm, k) == brute_colorings(masks, k)
-
-
-def _assert_ao_history_free(masks):
-    """The same for the acyclic-orientation memo."""
-    warm = kernels.acyclic_orientation_count(masks)
-    assert warm == kernels._ao(tuple(masks), {})
-    assert warm == order_induced_orientations(masks)
-
-
-@pytest.fixture(scope="module")
-def warm_memo():
-    """Sweep S_1..S_6 through both shared memos before comparing."""
-    graphs = [
-        InversionGraph.of(w).adjacency_masks() for n in range(1, 7) for w in all_perms(n)
-    ]
-    for masks in graphs:
-        kernels.chromatic_coeffs(masks)
-        kernels.acyclic_orientation_count(masks)
-    return graphs
-
-
-class TestSharedMemo:
-    def test_every_inversion_graph_to_s6(self, warm_memo):
-        for masks in warm_memo:
-            _assert_history_free(masks)
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(
-        st.integers(7, 8)
-        .flatmap(lambda n: st.permutations(range(1, n + 1)))
-        .map(Permutation)
-    )
-    def test_sampled_n7_to_n8(self, warm_memo, w):
-        masks = InversionGraph.of(w).adjacency_masks()
-        kernels.chromatic_coeffs(masks)  # the second read below is a memo hit
-        _assert_history_free(masks)
-
-    def test_random_graphs_after_the_sweep(self, warm_memo):
-        rng = random.Random(7)
-        for _ in range(100):
-            masks = _random_graph(rng, rng.randint(0, 7), rng.choice((0.2, 0.5, 0.8)))
-            _assert_history_free(masks)
-
-    def test_ao_random_graphs_after_the_sweep(self, warm_memo):
-        rng = random.Random(11)
-        for _ in range(100):
-            masks = _random_graph(rng, rng.randint(0, 7), rng.choice((0.2, 0.5, 0.8)))
-            _assert_ao_history_free(masks)
-
-    def test_threads_sharing_a_fresh_memo(self, monkeypatch):
-        # The memos are process-wide, so any threads a caller runs share
-        # them; a race may compute an entry twice but must never hand out a
-        # wrong or partial value.
-        monkeypatch.setattr(kernels, "_memo", {})
-        monkeypatch.setattr(kernels, "_ao_memo", {})
-        graphs = [InversionGraph.of(w).adjacency_masks() for w in all_perms(6)]
-        expected = [(kernels._chi(m, {}), kernels._ao(m, {})) for m in graphs]
-
-        def both(m):
-            return kernels.chromatic_coeffs(m), kernels.acyclic_orientation_count(m)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(lambda: [both(m) for m in graphs])
-                    for _ in range(4)
-                ]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(r == expected for r in results)
+        # The same families as inversion graphs, through the colouring DP;
+        # 3412's inversion graph is the 4-cycle 1-3-2-4-1.
+        for word, expected in (
+            ((1, 2, 3), 1),
+            ((5, 1, 2, 3, 4), 2**4),
+            ((2, 1, 4, 3), 4),
+            ((3, 2, 1), 6),
+            ((3, 4, 1, 2), 14),
+            ((4, 3, 2, 1), 24),
+        ):
+            g = InversionGraph.of(Permutation(word))
+            assert acyclic_orientations(g) == expected == count(g.masks)

@@ -10,7 +10,6 @@ from invlat.lattice import (
     build_lattice,
     decreasing_chains,
     mobius_values,
-    region_count,
 )
 from invlat.permutation import (
     InversionGraph,
@@ -19,7 +18,12 @@ from invlat.permutation import (
     reduced_expression,
 )
 from lattice_oracle import oracle_lattice, oracle_mobius, refines
-from util import acyclic_orientations_brute, all_perms, bond_partitions_oracle
+from util import (
+    acyclic_orientations_brute,
+    all_perms,
+    bond_partitions_oracle,
+    region_count,
+)
 
 W4132 = Permutation((4, 1, 3, 2))
 W4231 = Permutation((4, 2, 3, 1))

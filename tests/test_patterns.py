@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from invlat.bruhat import bruhat_leq, distances_from, ideal_size_table
+from invlat.bruhat import bruhat_leq, distances_from, interval_size
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     SMOOTH_PATTERNS,
@@ -197,10 +197,7 @@ class TestReductionStep:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_recurrences(self, n):
-        tables = {m: ideal_size_table(m) for m in range(max(1, n - 2), n + 1)}
-
-        def br(u):
-            return tables[u.n][u.word]
+        br = interval_size
 
         def ao(u):
             return acyclic_orientations_brute(InversionGraph.of(u))

@@ -1,7 +1,9 @@
 import pytest
 
 from invlat import verify
+from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
+from util import all_perms
 
 
 class TestRunCheck:
@@ -129,6 +131,41 @@ class TestRunCheck:
         full = verify.run_check("synthetic", 3, cap=None)
         assert len(full.counterexamples) == 25
         assert not full.truncated
+
+    @pytest.mark.parametrize("check", ["conjectureA", "conjectureB"])
+    def test_walk_counterexamples(self, monkeypatch, check):
+        # A walk over S_4 whose every other word has re = br + 1.
+        words = [w.word for w in all_perms(4)]
+        bad = set(words[::2])
+
+        def walk(n):
+            assert n == 4
+            for word in words:
+                yield word, 10, 10 + (word in bad)
+
+        monkeypatch.setattr(verify, "_count_walk", walk)
+        if check == "conjectureA":
+            failing = [w for w in words if w in bad]
+        else:
+            failing = [
+                w for w in words if (w in bad) == is_chromobruhatic(Permutation(w))
+            ]
+        expected = [str(Permutation(w)) for w in failing]
+        assert expected == sorted(expected) and len(expected) > 10
+
+        full = verify.run_check(check, 4, cap=None)
+        assert [f["w"] for f in full.counterexamples] == expected
+        assert not full.passed and not full.truncated
+        assert full.payload["failure_count"] == len(expected)
+        keys = ["w", "re", "br"] + (["avoiding"] if check == "conjectureB" else [])
+        for word, failure in zip(failing, full.counterexamples):
+            assert list(failure) == keys
+            assert (failure["br"], failure["re"]) == (10, 10 + (word in bad))
+
+        capped = verify.run_check(check, 4, cap=3)
+        assert capped.counterexamples == full.counterexamples[:3]
+        assert capped.truncated
+        assert capped.payload == full.payload
 
     def test_summary_line(self):
         report = verify.run_check("weak-chain", 3)

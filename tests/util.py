@@ -4,15 +4,20 @@ The oracles here deliberately avoid the library's own algorithms: pattern
 containment tries every index subset, distances walk the full group, the
 permanent sums over permutations, acyclic orientations are tried one by
 one, bond-lattice elements come from raw edge-subset enumeration, and the
-weak orders compare inversion sets.
+weak orders compare inversion sets.  Two helpers read the library instead:
+``region_count`` sums the Mobius values of a built lattice, and
+``count_table`` collects the count sweeps' walk.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Optional, Sequence
 
+from invlat.lattice import build_lattice, mobius_values
 from invlat.permutation import InversionGraph, Permutation
+from invlat.verify import _count_walk
 
 
 @lru_cache(maxsize=None)
@@ -180,3 +185,17 @@ def bond_partitions_oracle(n: int, edges) -> set[tuple[tuple[int, ...], ...]]:
                 blocks.setdefault(find(v), []).append(v)
             out.add(tuple(sorted(tuple(sorted(b)) for b in blocks.values())))
     return out
+
+
+def region_count(w: Permutation, expression: Optional[Sequence[int]] = None) -> int:
+    """Number of regions of the inversion arrangement of w, as the total
+    Mobius mass of its intersection lattice; the arrangement may be taken
+    essentialized without changing the count."""
+    return sum(mobius_values(build_lattice(w, expression)).values())
+
+
+@lru_cache(maxsize=None)
+def count_table(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """(br, ao) for every word of S_n, read off the count sweeps' walk, in
+    the order it yields them."""
+    return {word: (br, ao) for word, br, ao in _count_walk(n)}
