@@ -8,11 +8,11 @@ from invlat.bruhat import (
     interval,
     interval_size,
     rank_matrix,
-    right_hull,
 )
 from invlat.chromatic import (
     IntPoly,
     acyclic_orientations,
+    betti_numbers,
     chromatic_identity_holds,
     chromatic_of,
     chromatic_polynomial,
@@ -23,7 +23,6 @@ from invlat.lattice import (
     DecreasingChain,
     IntersectionLattice,
     SetPartition,
-    betti_numbers,
     build_lattice,
     decreasing_chains,
     mobius_values,
@@ -93,7 +92,6 @@ __all__ = [
     "reduced_expression",
     "reduction_step",
     "reflection_sequence",
-    "right_hull",
     "verify_characterization",
     "verify_going_down",
     "verify_injective",

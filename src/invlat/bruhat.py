@@ -1,16 +1,15 @@
-"""Bruhat order on the symmetric group: comparison backends, the lower
-interval's size and length counts, its enumeration with directed distances
-in the Bruhat graph, and the downward covers in the two-sided weak order."""
+"""Bruhat order on the symmetric group: the comparison u <= w by rank counts
+at w's bubbles, the lower interval's size and length counts, its enumeration
+with directed distances in the Bruhat graph, and the downward covers in the
+two-sided weak order."""
 
 from __future__ import annotations
 
 import functools
 import math
 import types
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
-from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
 
 
@@ -43,46 +42,6 @@ def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
     )
 
 
-@dataclass(frozen=True)
-class RightHull:
-    """Mask of every square with a rook weakly south-west and weakly north-east."""
-
-    n: int
-    rows: tuple[int, ...]  # bit j-1 of rows[i-1] set iff square (i, j) in hull
-
-    def contains(self, i: int, j: int) -> bool:
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
-
-def right_hull(w: Permutation) -> RightHull:
-    n = w.n
-    word = w.word
-    rows = []
-    for i in range(1, n + 1):
-        # min value weakly below row i / max value weakly above row i
-        sw = min(word[i - 1 :])
-        ne = max(word[:i])
-        mask = 0
-        for j in range(sw, ne + 1):
-            mask |= 1 << (j - 1)
-        rows.append(mask)
-    return RightHull(n, tuple(rows))
-
-
-def _leq_rank(u: Permutation, w: Permutation) -> bool:
-    return all(
-        ur[j] <= wr[j]
-        for ur, wr in zip(rank_matrix(u), _rank_bound(w))
-        for j in range(u.n)
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _rank_bound(w: Permutation) -> tuple[tuple[int, ...], ...]:
-    """w's rank matrix for the rank criterion, computed once per w."""
-    return rank_matrix(w)
-
-
 @functools.lru_cache(maxsize=256)
 def _bubble_constraints(w: Permutation) -> tuple[tuple[int, int, int], ...]:
     """(i, j, R_w[i][j]) over the bubbles of w, computed once per w."""
@@ -98,39 +57,16 @@ def _leq_bubble(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
-def _avoiding_hull(w: Permutation) -> Optional[RightHull]:
-    """w's right hull, or None when w contains one of the four patterns;
-    computed once per w."""
-    return right_hull(w) if is_chromobruhatic(w) else None
+def bruhat_leq(u: Permutation, w: Permutation) -> bool:
+    """u <= w in the Bruhat order, by comparing u's rank counts with w's at
+    the bubbles of w only.
 
-
-def _leq_hull(u: Permutation, w: Permutation) -> bool:
-    hull = _avoiding_hull(w)
-    if hull is None:
-        raise ValueError(
-            f"hull criterion requires w to avoid the four patterns; {w} does not"
-        )
-    return all(hull.contains(i, u(i)) for i in range(1, u.n + 1))
-
-
-def bruhat_leq(u: Permutation, w: Permutation, method: str = "auto") -> bool:
-    """u <= w in the Bruhat order.
-
-    Backends: 'rank' compares the full rank matrices, 'bubble' only the
-    bubbles of w, 'hull' tests that every rook of u lies in the right
-    hull of w (valid only when w avoids the four patterns).  'auto' uses the
-    bubble criterion.
+    >>> bruhat_leq(Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1)))
+    True
     """
     if u.n != w.n:
         raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    if method in ("auto", "bubble"):
-        return _leq_bubble(u, w)
-    if method == "rank":
-        return _leq_rank(u, w)
-    if method == "hull":
-        return _leq_hull(u, w)
-    raise ValueError(f"unknown method {method!r}")
+    return _leq_bubble(u, w)
 
 
 def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:

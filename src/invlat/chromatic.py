@@ -1,6 +1,7 @@
 """Chromatic polynomials of inversion graphs and their acyclic-orientation
 counts, both read off one colouring DP over the permutation's word; the
-smooth-permutation product formula; and the Bruhat-distance generating
+inversion arrangement's Betti numbers, read off the chromatic polynomial;
+the smooth-permutation product formula; and the Bruhat-distance generating
 function identity."""
 
 from __future__ import annotations
@@ -211,6 +212,18 @@ def acyclic_orientations(g: InversionGraph) -> int:
     counts = _class_counts(_word_of(g))
     n = g.n
     return sum((-1) ** (n + j) * factorial(j) * a for j, a in enumerate(counts))
+
+
+def betti_numbers(chi: IntPoly) -> tuple[int, ...]:
+    """Betti numbers of the complexified arrangement complement: the absolute
+    coefficients of chi from t^n down to its lowest nonzero term (Whitney,
+    Orlik-Solomon); entry i is the |mu| mass of the lattice's rank i.
+
+    >>> betti_numbers(chromatic_of(Permutation((4, 1, 3, 2))))
+    (1, 4, 5, 2)
+    """
+    low = next(d for d, c in enumerate(chi.coeffs) if c)
+    return tuple(abs(c) for c in reversed(chi.coeffs[low:]))
 
 
 def opy_chromatic(w: Permutation) -> IntPoly:

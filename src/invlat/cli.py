@@ -19,11 +19,12 @@ from invlat import verify as verify_mod
 from invlat.bruhat import distances_from, interval_size
 from invlat.chromatic import (
     acyclic_orientations,
+    betti_numbers,
     chi_distance_transform,
     chromatic_of,
     distance_poly,
 )
-from invlat.lattice import betti_numbers, build_lattice, mobius_values
+from invlat.lattice import build_lattice, mobius_values
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
@@ -82,7 +83,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
         "chromatic": {"text": chi.text("t"), "coeffs": chi.to_json()},
         "distance_poly": {"text": dpoly.text("q"), "coeffs": dpoly.to_json()},
         "identity_holds": dpoly == chi_distance_transform(chi, w.n),
-        "betti": list(betti_numbers(lattice)),
+        "betti": list(betti_numbers(chi)),
         "opy_exponents": list(opy_exponents(w)) if smooth else None,
         "lattice": {
             "elements": [str(x) for x in lattice.elements],

@@ -269,14 +269,3 @@ def mobius_values(lattice: IntersectionLattice) -> Mapping[SetPartition, int]:
         out[x] = value
     lattice._mobius = types.MappingProxyType(out)
     return lattice._mobius
-
-
-def betti_numbers(lattice: IntersectionLattice) -> tuple[int, ...]:
-    """Sum of |mu| over each rank: Betti numbers of the complexified
-    arrangement complement, summing to the region count."""
-    mu = mobius_values(lattice)
-    out = [0] * (lattice.max_rank() + 1)
-    for x, value in mu.items():
-        out[x.rank] += value
-    return tuple(out)
-

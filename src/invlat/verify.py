@@ -20,6 +20,7 @@ from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from invlat.bruhat import (
+    _bubble_constraints,
     _dominated_sets,
     _grow,
     bruhat_leq,
@@ -29,11 +30,11 @@ from invlat.bruhat import (
 from invlat.chromatic import (
     IntPoly,
     _colour_step,
+    betti_numbers,
     chromatic_identity_holds,
     chromatic_of,
     opy_chromatic,
 )
-from invlat.lattice import betti_numbers, build_lattice
 from invlat.patterns import (
     classify_pair,
     find_reduction_pair,
@@ -259,10 +260,10 @@ def _check_characterization(n: int, options: dict) -> _Scan:
 
 def _betti_failures(w: Permutation) -> Optional[dict]:
     """Partial-sum inequalities between interval length counts (top down)
-    and lattice Betti numbers, with equality at the maximal index."""
+    and the arrangement's Betti numbers, with equality at the maximal index."""
     ell = w.length()
     lengths = interval_length_counts(w)
-    betti = betti_numbers(build_lattice(w))
+    betti = betti_numbers(chromatic_of(w))
     bad: list[str] = []
     for name, first, step in (("line1", 0, 1), ("line2", 0, 2), ("line3", 1, 2)):
         # Partial sums over the indices first, first + step, ... <= ell.
@@ -397,20 +398,72 @@ def _check_recurrences(n: int, options: dict) -> _Scan:
     return _run_per_w(n, one)
 
 
+def _prefix_count(n: int, keeps: Iterable[Callable[[int], bool]]) -> int:
+    """The number of words of S_n whose first i values form a set that
+    ``keeps[i - 1]`` accepts, for every i: the prefix-set DP of
+    ``interval_length_counts`` with plain counts and any filter."""
+    level = {0: 1}
+    for keep in keeps:
+        level = {s: c for s, c in _grow(level, n, 0).items() if keep(s)}
+    return sum(level.values())
+
+
+def _hull_counts(
+    w: Permutation, dominated: Callable[[int], frozenset[int]]
+) -> tuple[int, int, int]:
+    """``(br, bubble, hull)``: the number of u that Ehresmann's criterion
+    puts below w, that pass the rank test at w's bubbles, and that fit in
+    w's right hull.  ``dominated(top)`` is ``_dominated_sets(top, n)``.
+
+    u fits in the hull when, at every position i, u(i) lies between the
+    smallest value of w at positions >= i and the largest at positions
+    <= i.  Both bounds grow with i, so this holds exactly when every set S
+    of u's first i values lies in [1, max of w's first i values] and holds
+    [1, m - 1], where m is the smallest value of w after position i.
+    """
+    n = w.n
+    word = w.word
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, bound in _bubble_constraints(w):
+        rows[i - 1].append((j - 1, bound))
+    ehresmann, bubble, hull = [], [], []
+    top = 0
+    for i in range(1, n + 1):
+        top |= 1 << (word[i - 1] - 1)
+        within = (1 << max(word[:i])) - 1
+        need = (1 << (min(word[i:]) - 1 if i < n else n)) - 1
+        ehresmann.append(dominated(top).__contains__)
+        bubble.append(
+            lambda s, row=rows[i - 1]: all((s >> j).bit_count() <= b for j, b in row)
+        )
+        hull.append(
+            lambda s, within=within, need=need: s | within == within
+            and s & need == need
+        )
+    return tuple(_prefix_count(n, keeps) for keeps in (ehresmann, bubble, hull))
+
+
 def _check_hull_vs_standard(n: int, options: dict) -> _Scan:
-    population = list(all_permutations(n))
+    """The bubble test and Sjöstrand's right-hull criterion, as counts.
+
+    The bubbles are a subset of the rank squares, so the bubble test
+    accepts every u <= w: equal counts prove the two sets equal.  [e, w]
+    always fits in the hull, so hull = br exactly when the hull's fillings
+    are [e, w], and that must hold exactly when w avoids the four patterns.
+    """
+    dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
     def failure(w: Permutation):
+        br, bubble, hull = _hull_counts(w, dominated)
         avoiding = is_chromobruhatic(w)
-        for u in population:
-            rank = bruhat_leq(u, w, method="rank")
-            bubble = bruhat_leq(u, w, method="bubble")
-            if rank != bubble:
-                return {"w": str(w), "u": str(u), "rank": rank, "bubble": bubble}
-            if avoiding:
-                hull = bruhat_leq(u, w, method="hull")
-                if hull != rank:
-                    return {"w": str(w), "u": str(u), "rank": rank, "hull": hull}
+        if bubble != br or hull < br or (hull == br) != avoiding:
+            return {
+                "w": str(w),
+                "br": br,
+                "bubble": bubble,
+                "hull": hull,
+                "avoiding": avoiding,
+            }
         return None
 
     return _run_per_w(n, lambda w: (failure(w), {}))

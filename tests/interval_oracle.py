@@ -1,6 +1,9 @@
-"""The retired ways of counting and enumerating [e, w], kept as independent
-oracles for ``invlat.bruhat``'s prefix-set DP and breadth-first search.
+"""The retired ways of comparing, counting and enumerating [e, w], kept as
+independent oracles for ``invlat.bruhat``'s bubble test, prefix-set DP and
+breadth-first search.
 
+- ``rank_leq``: u <= w by comparing the full rank matrices;
+- ``hull_rows``: w's right hull as one bitmask per row;
 - ``ryser_permanent``: br(w) as the permanent of the right-hull mask, exact
   only when w avoids 4231, 35142, 42513 and 351624;
 - ``hull_interval``: the permutation matrices inside the right hull, under
@@ -13,9 +16,30 @@ from __future__ import annotations
 
 import itertools
 
-from invlat.bruhat import right_hull
+from invlat.bruhat import rank_matrix
 from invlat.permutation import Permutation
 from util import all_perms
+
+
+def rank_leq(u: Permutation, w: Permutation) -> bool:
+    """u <= w iff u's rank matrix is at most w's at every square."""
+    return all(
+        a <= b
+        for ur, wr in zip(rank_matrix(u), rank_matrix(w))
+        for a, b in zip(ur, wr)
+    )
+
+
+def hull_rows(w: Permutation) -> tuple[int, ...]:
+    """w's right hull: bit j - 1 of row i - 1 is set iff square (i, j) has a
+    rook of w weakly south-west and one weakly north-east."""
+    word = w.word
+    return tuple(
+        # Columns from the smallest value weakly below row i to the largest
+        # weakly above it.
+        (1 << max(word[:i])) - (1 << (min(word[i - 1 :]) - 1))
+        for i in range(1, w.n + 1)
+    )
 
 
 def ryser_permanent(rows, n: int) -> int:
@@ -83,7 +107,7 @@ def hull_fillings(rows: tuple[int, ...]):
 
 def hull_interval(w: Permutation) -> list[Permutation]:
     """[e, w] in lex order, as the fillings of w's right hull."""
-    return [Permutation(word) for word in hull_fillings(right_hull(w).rows)]
+    return [Permutation(word) for word in hull_fillings(hull_rows(w))]
 
 
 def filter_interval(w: Permutation) -> list[Permutation]:

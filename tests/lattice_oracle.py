@@ -1,6 +1,6 @@
-"""The retired join-closure construction of the bond lattice and the
-O(|L|^2) Mobius recursion, kept as independent oracles for
-``invlat.lattice``.
+"""The retired join-closure construction of the bond lattice, the
+O(|L|^2) Mobius recursion and the lattice's rank sums of |mu|, kept as
+independent oracles for ``invlat.lattice`` and ``chromatic.betti_numbers``.
 
 A partition is a canonical tuple of sorted blocks, e.g. ((1, 2), (3,)).  The
 lattice is the join closure of the atoms (one per hyperplane), and a cover's
@@ -9,6 +9,8 @@ first pair that the upper element joins and the lower one separates.
 """
 
 from __future__ import annotations
+
+from invlat.lattice import IntersectionLattice, mobius_values
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -131,3 +133,12 @@ def oracle_mobius(n: int, elements: list[Blocks]) -> list[int]:
                 total += signed[m]
         signed.append(-total)
     return [abs(v) for v in signed]
+
+
+def rank_betti(lattice: IntersectionLattice) -> tuple[int, ...]:
+    """Sum of |mu| over each rank: Betti numbers of the complexified
+    arrangement complement, summing to the region count."""
+    out = [0] * (lattice.max_rank() + 1)
+    for x, value in mobius_values(lattice).items():
+        out[x.rank] += value
+    return tuple(out)

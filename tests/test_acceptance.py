@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from interval_oracle import filter_interval, ryser_permanent
-from invlat.bruhat import interval_size, right_hull
+from interval_oracle import filter_interval, hull_rows, ryser_permanent
+from invlat.bruhat import interval_size
 from invlat.chromatic import (
     acyclic_orientations,
     chromatic_of,
@@ -146,7 +146,7 @@ def test_criterion_9_cross_oracle_coherence():
     for w in all_perms(6):
         if is_chromobruhatic(w):
             br = interval_size(w)
-            if not br == ryser_permanent(right_hull(w).rows, 6) == len(
+            if not br == ryser_permanent(hull_rows(w), 6) == len(
                 filter_interval(w)
             ):
                 ok = False

@@ -9,7 +9,9 @@ from interval_oracle import (
     bitset_ideal_table,
     filter_interval,
     hull_interval,
+    hull_rows,
     length_counts,
+    rank_leq,
     ryser_permanent,
 )
 from invlat.bruhat import (
@@ -21,7 +23,6 @@ from invlat.bruhat import (
     interval_length_counts,
     interval_size,
     rank_matrix,
-    right_hull,
     two_sided_weak_covers,
 )
 from invlat.chromatic import acyclic_orientations
@@ -79,26 +80,21 @@ class TestLeqBackends:
         with pytest.raises(ValueError, match="size mismatch"):
             bruhat_leq(Permutation.identity(3), W4132)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            bruhat_leq(W4132, W4132, method="telepathy")
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rank_and_bubble_agree_everywhere(self, n):
+        # The bubble test against the full rank-matrix comparison.
         for w in all_perms(n):
             for u in all_perms(n):
-                assert bruhat_leq(u, w, "rank") == bruhat_leq(u, w, "bubble")
+                assert bruhat_leq(u, w) == rank_leq(u, w)
 
     def test_hull_agrees_for_avoiding(self):
-        for w in all_perms(4):
-            if not is_chromobruhatic(w):
-                continue
-            for u in all_perms(4):
-                assert bruhat_leq(u, w, "hull") == bruhat_leq(u, w, "rank")
-
-    def test_hull_rejects_non_avoiding(self):
-        with pytest.raises(ValueError, match="avoid"):
-            bruhat_leq(Permutation.identity(4), W4231, method="hull")
+        # Sjostrand: when w avoids the four patterns, [e, w] is exactly the
+        # set of permutation matrices inside w's right hull.
+        for n in range(1, 6):
+            for w in all_perms(n):
+                if is_chromobruhatic(w):
+                    below = [u for u in all_perms(n) if bruhat_leq(u, w)]
+                    assert hull_interval(w) == below
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_order_properties(self, n):
@@ -122,34 +118,49 @@ class TestBubbles:
         assert bubbles(e) == frozenset(
             (i, j) for i in range(1, 5) for j in range(1, 5) if i < j
         )
-        assert [u for u in all_perms(4) if bruhat_leq(u, e, "bubble")] == [e]
+        assert [u for u in all_perms(4) if bruhat_leq(u, e)] == [e]
 
 
 class TestRightHull:
+    """The right-hull oracle, which the hull-vs-standard check counts by
+    prefix sets."""
+
+    @staticmethod
+    def contains(rows, i, j):
+        return bool(rows[i - 1] >> (j - 1) & 1)
+
     # Bit j - 1 of a row is column j, so each literal reads right to left.
     def test_identity_is_diagonal(self):
-        hull = right_hull(Permutation.identity(4))
-        assert hull.rows == (0b0001, 0b0010, 0b0100, 0b1000)
+        assert hull_rows(Permutation.identity(4)) == (0b0001, 0b0010, 0b0100, 0b1000)
 
     def test_35124_mask(self):
-        hull = right_hull(parse_permutation("35124"))
-        assert hull.rows == (0b00111, 0b11111, 0b11111, 0b11110, 0b11000)
+        rows = hull_rows(parse_permutation("35124"))
+        assert rows == (0b00111, 0b11111, 0b11111, 0b11110, 0b11000)
 
     def test_rooks_always_inside(self):
         for w in all_perms(5):
-            hull = right_hull(w)
-            assert all(hull.contains(i, w(i)) for i in range(1, 6))
+            rows = hull_rows(w)
+            assert all(self.contains(rows, i, w(i)) for i in range(1, 6))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rotation_symmetry(self, n):
         for w in all_perms(n):
-            hull = right_hull(w)
-            rhull = right_hull(w.rotate())
+            rows = hull_rows(w)
+            rotated = hull_rows(w.rotate())
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    assert hull.contains(i, j) == rhull.contains(
-                        n + 1 - i, n + 1 - j
+                    assert self.contains(rows, i, j) == self.contains(
+                        rotated, n + 1 - i, n + 1 - j
                     )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_interval_inside_hull(self, n):
+        # If u(i) > max w[:i], the rank bound fails at (i, u(i)); the suffix
+        # minimum fails the same way.  So the hull can only overcount.
+        for w in all_perms(n):
+            rows = hull_rows(w)
+            for word in distances_from(w):
+                assert all(rows[i] >> (v - 1) & 1 for i, v in enumerate(word))
 
 
 class TestInterval:
@@ -173,7 +184,7 @@ class TestInterval:
             assert interval_size(w) == len(by_filter)
             if is_chromobruhatic(w):
                 assert hull_interval(w) == by_filter
-                assert ryser_permanent(right_hull(w).rows, n) == len(by_filter)
+                assert ryser_permanent(hull_rows(w), n) == len(by_filter)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_length_counts_match_filter(self, n):
@@ -184,7 +195,7 @@ class TestInterval:
     def test_permanent_is_hull_permanent(self):
         for w in all_perms(4):
             if is_chromobruhatic(w):
-                rows = right_hull(w).rows
+                rows = hull_rows(w)
                 assert interval_size(w) == brute_permanent(rows, 4)
                 assert ryser_permanent(rows, 4) == brute_permanent(rows, 4)
 
@@ -231,7 +242,7 @@ class TestInterval:
     def test_sampled_n8_to_n12(self, w):
         size = interval_size(w)
         if is_chromobruhatic(w):
-            assert size == ryser_permanent(right_hull(w).rows, w.n)
+            assert size == ryser_permanent(hull_rows(w), w.n)
         if size <= BFS_CAP:
             expected = length_counts(interval(w), w.length())
             assert list(interval_length_counts(w)) == expected

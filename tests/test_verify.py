@@ -1,6 +1,8 @@
 import pytest
 
+from interval_oracle import hull_fillings, hull_rows
 from invlat import verify
+from invlat.bruhat import _dominated_sets, interval_size
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
 from util import all_perms
@@ -83,21 +85,39 @@ class TestRunCheck:
         report = verify.run_check("hull-vs-standard", 5)
         assert report.passed, report.counterexamples
 
-    def test_hull_vs_standard_computes_each_hull_once(self, monkeypatch):
-        import invlat.bruhat
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_hull_counts_against_the_oracles(self, n):
+        # br and the bubble count are |[e, w]|; the set-form hull count is
+        # the number of permutation matrices inside the hull rows.
+        def dominated(top):
+            return _dominated_sets(top, n)
 
-        hulls = []
-        real = invlat.bruhat.right_hull
+        for w in all_perms(n):
+            br, bubble, hull = verify._hull_counts(w, dominated)
+            assert br == bubble == interval_size(w)
+            assert hull == sum(1 for _ in hull_fillings(hull_rows(w)))
 
-        def counting(w):
-            hulls.append(w)
-            return real(w)
+    def test_hull_overcounts_exactly_off_the_avoiders(self):
+        def dominated(top):
+            return _dominated_sets(top, 6)
 
-        monkeypatch.setattr(invlat.bruhat, "right_hull", counting)
-        invlat.bruhat._avoiding_hull.cache_clear()
+        over = set()
+        for w in all_perms(6):
+            br, bubble, hull = verify._hull_counts(w, dominated)
+            assert hull >= br == bubble
+            if hull > br:
+                over.add(w.word)
+        containing = {w.word for w in all_perms(6) if not is_chromobruhatic(w)}
+        assert over == containing and len(over) == 243
+
+    def test_hull_vs_standard_checks_the_converse(self, monkeypatch):
+        # Were 4231 taken for an avoider, its hull's 24 fillings against
+        # br = 20 must be reported.
+        monkeypatch.setattr(verify, "is_chromobruhatic", lambda w: True)
         report = verify.run_check("hull-vs-standard", 4)
-        assert report.passed
-        assert len(hulls) == len(set(hulls)) == report.population - 1
+        assert report.counterexamples == [
+            {"w": "4231", "br": 20, "bubble": 20, "hull": 24, "avoiding": True}
+        ]
 
     def test_report_json_shape(self):
         report = verify.run_check("conjectureA", 3)
