@@ -46,7 +46,6 @@ from invlat.permutation import (
 )
 from invlat.phimap import (
     PhiImage,
-    phi,
     phi_table,
     verify_characterization,
     verify_going_down,
@@ -86,7 +85,6 @@ __all__ = [
     "mobius_values",
     "opy_chromatic",
     "parse_permutation",
-    "phi",
     "phi_table",
     "rank_matrix",
     "reduced_expression",

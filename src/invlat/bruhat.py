@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import types
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from invlat.permutation import Permutation
 
@@ -43,17 +43,26 @@ def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _bubble_constraints(w: Permutation) -> tuple[tuple[int, int, int], ...]:
-    """(i, j, R_w[i][j]) over the bubbles of w, computed once per w."""
+def _bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i - 1 holds (j - 1, R_w[i][j]) for each bubble (i, j) of w in
+    row i; computed once per w."""
     wr = rank_matrix(w)
-    return tuple((i, j, wr[i - 1][j - 1]) for i, j in sorted(bubbles(w)))
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(w.n)]
+    for i, j in sorted(bubbles(w)):
+        rows[i - 1].append((j - 1, wr[i - 1][j - 1]))
+    return tuple(map(tuple, rows))
 
 
-def _leq_bubble(u: Permutation, w: Permutation) -> bool:
-    uw = u.word
-    for i, j, bound in _bubble_constraints(w):
-        if sum(1 for m in range(i) if uw[m] >= j) > bound:
-            return False
+def _word_leq(word: Sequence[int], w: Permutation) -> bool:
+    """Whether the permutation with one-line ``word`` is <= w: at each
+    bubble (i, j) of w, its first i values (bits of ``mask``) hold at most
+    R_w[i][j] values >= j."""
+    mask = 0
+    for v, row in zip(word, _bubble_rows(w)):
+        mask |= 1 << (v - 1)
+        for shift, bound in row:
+            if (mask >> shift).bit_count() > bound:
+                return False
     return True
 
 
@@ -66,7 +75,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    return _leq_bubble(u, w)
+    return _word_leq(u.word, w)
 
 
 def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:

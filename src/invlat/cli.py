@@ -18,7 +18,6 @@ from invlat import golden as golden_mod
 from invlat import verify as verify_mod
 from invlat.bruhat import distances_from, interval_size
 from invlat.chromatic import (
-    acyclic_orientations,
     betti_numbers,
     chi_distance_transform,
     chromatic_of,
@@ -34,7 +33,6 @@ from invlat.patterns import (
     contains,
 )
 from invlat.permutation import (
-    InversionGraph,
     Permutation,
     opy_exponents,
     parse_permutation,
@@ -53,7 +51,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     re = sum(mu.values())
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
-    ao = acyclic_orientations(InversionGraph.of(w))
+    ao = abs(chi(-1))
     br = interval_size(w)
     smooth = is_smooth(w)
     avoiding = is_chromobruhatic(w)

@@ -17,12 +17,14 @@ once, for ordering, chains and printing.
 
 from __future__ import annotations
 
+import functools
 import types
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
+    MAX_N,
     Permutation,
     Transposition,
     evaluate_word,
@@ -44,6 +46,13 @@ class SetPartition:
             raise ValueError(f"blocks {blocks!r} do not partition 1..{n}")
         self.blocks = canon
         self._hash = hash((n, canon))
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap canonical blocks already known to partition 1..n, unchecked."""
+        p = object.__new__(cls)
+        p.n, p.blocks, p._hash = n, blocks, hash((n, blocks))
+        return p
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -93,8 +102,10 @@ class DecreasingChain:
         return self.elements[-1]
 
 
+@functools.lru_cache(maxsize=1 << MAX_N)
 def _points(mask: int) -> tuple[int, ...]:
-    """The 1-based points of a block bitmask, ascending."""
+    """The 1-based points of a block bitmask, ascending; cached, as there
+    are at most 2^MAX_N masks."""
     return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
@@ -163,7 +174,7 @@ class IntersectionLattice:
                                 nxt.append(y)
             level = nxt
 
-        parts = {x: SetPartition(n, [_points(b) for b in x]) for x in ups}
+        parts = {x: SetPartition._trusted(n, tuple(sorted(map(_points, x)))) for x in ups}
         keys = sorted(ups, key=lambda x: (n - len(x), parts[x].blocks))
         position = {x: k for k, x in enumerate(keys)}
 

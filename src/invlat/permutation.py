@@ -52,6 +52,13 @@ class Permutation:
         self.word = w
         self._hash = hash(w)
 
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a word already known to be a permutation, unchecked."""
+        p = object.__new__(cls)
+        p.word, p._hash = word, hash(word)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.word)
@@ -70,11 +77,6 @@ class Permutation:
         word = list(range(1, n + 1))
         word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
         return cls(word)
-
-    @classmethod
-    def adjacent(cls, n: int, i: int) -> "Permutation":
-        """The adjacent transposition s_i = (i i+1)."""
-        return cls.transposition(n, i, i + 1)
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":

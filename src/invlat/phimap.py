@@ -1,5 +1,6 @@
 """The injection from label-decreasing lattice chains into the Bruhat
-interval, with its injectivity, surjectivity, going-down and distance
+interval, built in one depth-first pass with one value swap per chain,
+with its injectivity, surjectivity, going-down and distance
 characterization checks."""
 
 from __future__ import annotations
@@ -7,16 +8,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from invlat.bruhat import bruhat_leq, distances_from, interval
+from invlat.bruhat import _word_leq, distances_from, interval
 from invlat.lattice import (
     DecreasingChain,
     IntersectionLattice,
     SetPartition,
+    _points,
     build_lattice,
     decreasing_chains,
 )
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation
+from invlat.permutation import Permutation, format_one_line
 
 
 @dataclass(frozen=True)
@@ -28,58 +30,62 @@ class PhiImage:
     image: Permutation
 
 
-def phi(
-    chain: DecreasingChain,
-    w: Permutation,
-    lattice: IntersectionLattice,
-    check: bool = True,
-) -> PhiImage:
-    """Map a decreasing chain to p(C) * w where p(C) multiplies the chain's
-    labelled reflections left to right.
-
-    With ``check`` on, three facts are verified eagerly: the image lies in
-    [e, w], the absolute length of p(C) is the chain length, and the orbits
-    of p(C) are the blocks of the chain's top element.  Violations signal a
-    labelling bug and raise.
-    """
-    word = list(range(1, w.n + 1))
-    for j in chain.labels:
-        # Right-multiplying by (a b) swaps the values a and b.
-        a, b = lattice.hyperplanes[j - 1]
-        word = [b if v == a else a if v == b else v for v in word]
-    product = Permutation(word)
-    image = product * w
-    if check:
-        if not bruhat_leq(image, w):
-            raise RuntimeError(f"phi image {image} is not below {w}")
-        cycles = product.cycles()
-        if w.n - len(cycles) != chain.length:
-            raise RuntimeError(
-                f"absolute length {w.n - len(cycles)} != chain length "
-                f"{chain.length} for labels {chain.labels}"
-            )
-        if tuple(tuple(sorted(c)) for c in cycles) != chain.top.blocks:
-            raise RuntimeError(
-                f"orbit partition {SetPartition(w.n, cycles)} differs from "
-                f"chain top {chain.top}"
-            )
-    return PhiImage(chain, product, image)
-
-
 def phi_table(
     w: Permutation,
     expression: Optional[Sequence[int]] = None,
     check: bool = True,
     lattice: Optional[IntersectionLattice] = None,
 ) -> list[PhiImage]:
-    """The full chain-to-interval table, ordered by chain label sequence.
+    """The full chain-to-interval table, ordered by chain label sequence:
+    chain C maps to p(C) * w, p(C) the product of its labelled reflections
+    left to right.  ``lattice`` reuses w's lattice when the caller already
+    built it; otherwise it is built from ``expression``.
 
-    ``lattice`` reuses w's lattice when the caller already built it;
-    otherwise it is built from ``expression``.
+    The chains come in depth-first preorder, so a chain of length m finds
+    its parent's product word and orbit masks in ``stack[m]`` (the
+    identity's when m = 0) and swaps the values of its last reflection.  With ``check`` on, raise if an image is not below w, if the
+    swap joins two points of one orbit (the absolute length falls short of
+    the chain length), or if the orbits are not the blocks of the chain's
+    top: each means a labelling bug.
     """
     if lattice is None:
         lattice = build_lattice(w, expression)
-    return [phi(c, w, lattice, check=check) for c in decreasing_chains(lattice)]
+    n = w.n
+    values = (0,) + w.word
+    stack = [(tuple(range(1, n + 1)), tuple(1 << v for v in range(n)))]
+    table = []
+    for chain in decreasing_chains(lattice):
+        labels = chain.labels
+        m = len(labels)
+        word, orbits = stack[m]
+        if m:
+            a, b = lattice.hyperplanes[labels[-1] - 1]
+            word = tuple(b if v == a else a if v == b else v for v in word)
+        image = tuple(map(values.__getitem__, word))
+        if check:
+            if not _word_leq(image, w):
+                raise RuntimeError(f"phi image {format_one_line(image)} is not below {w}")
+            if m:
+                bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+                merged = next(o for o in orbits if o & bit_a)
+                if merged & bit_b:
+                    raise RuntimeError(
+                        f"absolute length {n - len(orbits) - 1} != chain length "
+                        f"{m} for labels {labels}"
+                    )
+                merged |= next(o for o in orbits if o & bit_b)
+                orbits = tuple(sorted([o for o in orbits if not o & merged] + [merged]))
+            if orbits != lattice.masks[lattice.index[chain.top]]:
+                raise RuntimeError(
+                    f"orbit partition {SetPartition(n, map(_points, orbits))} "
+                    f"differs from chain top {chain.top}"
+                )
+        del stack[m + 1 :]
+        stack.append((word, orbits))
+        table.append(
+            PhiImage(chain, Permutation._trusted(word), Permutation._trusted(image))
+        )
+    return table
 
 
 def is_injective(table: Sequence[PhiImage]) -> bool:
@@ -125,14 +131,15 @@ def verify_going_down(
     lattice = build_lattice(w, expression)
     dist = distances_from(w)
     for chain in decreasing_chains(lattice):
-        current = w
+        current = list(w.word)
         for j in reversed(chain.labels):
             a, b = lattice.hyperplanes[j - 1]
-            nxt = Permutation.transposition(w.n, a, b) * current
-            if not (bruhat_leq(nxt, current) and nxt != current):
+            # With a < b, (a b) * x swaps positions a and b, and lies
+            # strictly below x exactly when x(a) > x(b).
+            if current[a - 1] < current[b - 1]:
                 return False
-            current = nxt
-        if dist.get(current.word) != chain.length:
+            current[a - 1], current[b - 1] = current[b - 1], current[a - 1]
+        if dist.get(tuple(current)) != chain.length:
             return False
     return True
 

@@ -20,7 +20,7 @@ from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from invlat.bruhat import (
-    _bubble_constraints,
+    _bubble_rows,
     _dominated_sets,
     _grow,
     bruhat_leq,
@@ -423,9 +423,7 @@ def _hull_counts(
     """
     n = w.n
     word = w.word
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j, bound in _bubble_constraints(w):
-        rows[i - 1].append((j - 1, bound))
+    rows = _bubble_rows(w)
     ehresmann, bubble, hull = [], [], []
     top = 0
     for i in range(1, n + 1):

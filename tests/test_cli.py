@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 from invlat import verify
 from invlat.bruhat import distances_from
 from invlat.cli import analyze, main
-from invlat.permutation import Permutation
+from invlat.permutation import Permutation, parse_permutation
+from util import all_perms
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +102,26 @@ class TestAnalyze:
         assert report["witness"] is not None and report["phi_missed"]
         info = distances_from.cache_info()
         assert info.misses == 1 and info.hits >= 2
+
+    @pytest.mark.parametrize(
+        "population, expected",
+        [
+            ("S_1..S_5", "2ba3fa135b821fb34711a0baab8eca04962e299e5fe37e68ab2429e4439985a2"),
+            ("918273645", "53267672a341b997ecf55b97a60d12747661948392adba9463f216ce4f92a1e2"),
+        ],
+    )
+    def test_json_is_pinned(self, population, expected):
+        # SHA-256 of each report's `analyze --format json` text plus a
+        # newline, in lexicographic order: any change to a value, a key or
+        # their order shows here.
+        if population == "S_1..S_5":
+            perms = [w for n in range(1, 6) for w in all_perms(n)]
+        else:
+            perms = [parse_permutation(population)]
+        digest = hashlib.sha256()
+        for w in perms:
+            digest.update(json.dumps(analyze(w), indent=2).encode() + b"\n")
+        assert digest.hexdigest() == expected
 
 
 class TestVerifyCommand:

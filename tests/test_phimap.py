@@ -1,17 +1,21 @@
+import copy
+import itertools
+import random
+
 import pytest
 
-from invlat.bruhat import distances_from, interval
-from invlat.lattice import DecreasingChain, build_lattice, decreasing_chains
+from invlat.bruhat import bruhat_leq, distances_from, interval
+from invlat.lattice import build_lattice, decreasing_chains
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, all_reduced_expressions
+from invlat.permutation import Permutation, Transposition, all_reduced_expressions
 from invlat.phimap import (
-    phi,
     phi_table,
     verify_characterization,
     verify_going_down,
     verify_injective,
     verify_surjective,
 )
+from phi_oracle import phi
 from util import all_perms
 
 W4132 = Permutation((4, 1, 3, 2))
@@ -35,9 +39,8 @@ GOLDEN_TABLE = {
 
 class TestPhi:
     def test_empty_chain_maps_to_w(self):
-        lattice = build_lattice(W4132, (1, 2, 3, 2))
-        empty = decreasing_chains(lattice)[0]
-        entry = phi(empty, W4132, lattice)
+        entry = phi_table(W4132, (1, 2, 3, 2))[0]
+        assert entry.chain.labels == ()
         assert entry.product.is_identity()
         assert entry.image == W4132
 
@@ -53,21 +56,57 @@ class TestPhi:
         assert str(entry.image) == "1243"
         assert entry.product.cycle_string() == "(1 2 4 3)"
 
+    @staticmethod
+    def corrupted(**changes):
+        """A copy of 4132's lattice with some attributes replaced and its
+        decreasing chains recomputed."""
+        bad = copy.copy(build_lattice(W4132, (1, 2, 3, 2)))
+        for name, value in changes.items():
+            setattr(bad, name, value)
+        bad._chains = None
+        return bad
+
     def test_eager_checks_catch_bad_chains(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
-        chain = {c.labels: c for c in decreasing_chains(lattice)}[(1, 2, 4)]
-        # Labels out of order: t2 t1 w = 3412 is not below 4132.
-        with pytest.raises(RuntimeError, match="not below"):
-            phi(DecreasingChain(chain.elements[:3], (2, 1)), W4132, lattice)
-        # A repeated reflection: t1 t2 t2 = t1 has absolute length 1, not 3.
-        with pytest.raises(RuntimeError, match="absolute length"):
-            phi(DecreasingChain(chain.elements, (1, 2, 2)), W4132, lattice)
-        # The product (1 2 4 3) has one orbit, but this chain tops out at 134|2.
-        wrong_top = chain.elements[:-1] + (lattice.elements[-2],)
-        with pytest.raises(RuntimeError, match="orbit partition"):
-            phi(DecreasingChain(wrong_top, chain.labels), W4132, lattice)
-        unchecked = phi(DecreasingChain(wrong_top, chain.labels), W4132, lattice, check=False)
-        assert str(unchecked.image) == "1243"
+        # H_2 read as (2 3): the chain (1, 2) maps to t1 (2 3) w = 3412,
+        # which is not below 4132.
+        hyperplanes = list(lattice.hyperplanes)
+        hyperplanes[1] = Transposition(2, 3)
+        not_below = self.corrupted(hyperplanes=tuple(hyperplanes))
+        # Relabel 13|2|4 < 134|2 by 3 and 134|2 < 1234 by 4: the chain
+        # (2, 3, 4) appears, and H_4 = (3 4) joins two points that the
+        # product (1 3)(1 4) already has in one orbit.
+        covers = list(lattice.covers_up)
+        covers[3] = ((6, 1), (8, 3))
+        covers[8] = ((9, 4),)
+        repeated_orbit = self.corrupted(covers_up=tuple(covers))
+        # 123|4 given the masks of 124|3: the chain (1, 2) has orbits
+        # 123|4, so they differ from its top's masks.
+        masks = list(lattice.masks)
+        masks[6] = masks[7]
+        wrong_top = self.corrupted(masks=tuple(masks))
+        cases = [
+            (not_below, "not below"),
+            (repeated_orbit, "absolute length"),
+            (wrong_top, "orbit partition"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(RuntimeError, match=message):
+                phi_table(W4132, lattice=bad)
+            # Unchecked, the table maps every chain and raises nothing.
+            unchecked = phi_table(W4132, check=False, lattice=bad)
+            assert len(unchecked) == len(decreasing_chains(bad))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_oracle_exhaustive(self, n):
+        for w in all_perms(n):
+            assert_matches_oracle(w)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_oracle_sampled(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            assert_matches_oracle(Permutation(rng.sample(range(1, n + 1), n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eager_invariants_hold(self, n):
@@ -85,6 +124,15 @@ class TestPhi:
                 m = entry.chain.length
                 assert drop >= m
                 assert (drop - m) % 2 == 0
+
+
+def assert_matches_oracle(w: Permutation) -> None:
+    """``phi_table`` maps every chain of w's lattice, in order, to the
+    chain, product and image the per-chain oracle gives, checked or not."""
+    lattice = build_lattice(w)
+    expected = [phi(chain, w, lattice) for chain in decreasing_chains(lattice)]
+    assert phi_table(w, lattice=lattice) == expected
+    assert phi_table(w, check=False, lattice=lattice) == expected
 
 
 class TestInjectivity:
@@ -142,6 +190,14 @@ class TestGoingDown:
     def test_exhaustive(self, n):
         for w in all_perms(n):
             assert verify_going_down(w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_descent_comparison_matches_bruhat_leq(self, n):
+        # Every step of every walk applies some transposition to some x.
+        for x in all_perms(n):
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                nxt = Permutation.transposition(n, a, b) * x
+                assert (x(a) > x(b)) == (bruhat_leq(nxt, x) and nxt != x)
 
     def test_distances_equal_chain_length(self):
         dist = distances_from(W4132)
