@@ -22,10 +22,10 @@ from invlat.chromatic import (
 from invlat.lattice import (
     DecreasingChain,
     IntersectionLattice,
-    SetPartition,
     build_lattice,
     decreasing_chains,
     mobius_values,
+    partition_text,
 )
 from invlat.patterns import (
     contains,
@@ -62,7 +62,6 @@ __all__ = [
     "InversionGraph",
     "Permutation",
     "PhiImage",
-    "SetPartition",
     "Transposition",
     "acyclic_orientations",
     "all_permutations",
@@ -85,6 +84,7 @@ __all__ = [
     "mobius_values",
     "opy_chromatic",
     "parse_permutation",
+    "partition_text",
     "phi_table",
     "rank_matrix",
     "reduced_expression",

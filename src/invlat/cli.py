@@ -23,7 +23,7 @@ from invlat.chromatic import (
     chromatic_of,
     distance_poly,
 )
-from invlat.lattice import build_lattice, mobius_values
+from invlat.lattice import build_lattice, mobius_values, partition_text
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
@@ -48,7 +48,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
     mu = mobius_values(lattice)
-    re = sum(mu.values())
+    re = sum(mu)
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
     ao = abs(chi(-1))
@@ -59,6 +59,7 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     injective = is_injective(table)
     missed = missed_elements(w, table)
     surjective = not missed
+    names = [partition_text(w.n, x) for x in lattice.elements]
 
     report: dict[str, Any] = {
         "schema_version": 1,
@@ -84,16 +85,18 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
         "betti": list(betti_numbers(chi)),
         "opy_exponents": list(opy_exponents(w)) if smooth else None,
         "lattice": {
-            "elements": [str(x) for x in lattice.elements],
+            "elements": names,
             "covers": [
-                [str(a), str(b), label] for a, b, label in lattice.cover_labels()
+                [names[i], names[j], label]
+                for i, ups in enumerate(lattice.covers_up)
+                for j, label in ups
             ],
-            "mobius": {str(x): mu[x] for x in lattice.elements},
+            "mobius": dict(zip(names, mu)),
         },
         "phi_table": [
             {
                 "labels": list(entry.chain.labels),
-                "chain": [str(x) for x in entry.chain.elements],
+                "chain": [names[k] for k in entry.chain.path],
                 "product": entry.product.cycle_string(),
                 "image": str(entry.image),
             }

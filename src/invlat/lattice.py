@@ -7,20 +7,21 @@ the hyperplanes, read off a reduced expression, induces the edge labelling
 whose strictly decreasing chains from the bottom count the regions of the
 arrangement.
 
-Internally an element is a tuple of block bitmasks (bit v-1 stands for
-point v).  The lattice grows rank by rank from the singletons: merging two
-blocks of an element gives one of its covers exactly when some inversion
-edge crosses them, and the cover's label is the largest hyperplane index
-among the crossing edges.  Each element is turned into a ``SetPartition``
-once, for ordering, chains and printing.
+An element is a tuple of block bitmasks (bit v-1 stands for point v), the
+blocks ordered by their smallest point; chains, covers and Mobius values
+refer to elements by their index in ``IntersectionLattice.elements``, and
+``partition_text`` turns an element into text only for printing.  The
+lattice grows rank by rank from the singletons: merging two blocks of an
+element gives one of its covers exactly when some inversion edge crosses
+them, and the cover's label is the largest hyperplane index among the
+crossing edges.
 """
 
 from __future__ import annotations
 
 import functools
-import types
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
@@ -33,64 +34,13 @@ from invlat.permutation import (
 )
 
 
-class SetPartition:
-    """A partition of {1, ..., n} with canonically ordered blocks."""
-
-    __slots__ = ("n", "blocks", "_hash")
-
-    def __init__(self, n: int, blocks):
-        self.n = n
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        seen = [v for b in canon for v in b]
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"blocks {blocks!r} do not partition 1..{n}")
-        self.blocks = canon
-        self._hash = hash((n, canon))
-
-    @classmethod
-    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
-        """Wrap canonical blocks already known to partition 1..n, unchecked."""
-        p = object.__new__(cls)
-        p.n, p.blocks, p._hash = n, blocks, hash((n, blocks))
-        return p
-
-    @classmethod
-    def singletons(cls, n: int) -> "SetPartition":
-        return cls(n, [(i,) for i in range(1, n + 1)])
-
-    @property
-    def rank(self) -> int:
-        """Codimension of the corresponding subspace: n minus block count."""
-        return self.n - len(self.blocks)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "SetPartition") -> bool:
-        return (self.rank, self.blocks) < (other.rank, other.blocks)
-
-    def __str__(self) -> str:
-        if self.n <= 9:
-            return "|".join("".join(map(str, b)) for b in self.blocks)
-        return "|".join(",".join(map(str, b)) for b in self.blocks)
-
-    def __repr__(self) -> str:
-        return f"SetPartition({self.n}, {self.blocks!r})"
-
-
 @dataclass(frozen=True)
 class DecreasingChain:
     """A saturated chain from the bottom whose labels strictly decrease in
-    the hyperplane order, i.e. whose label indices strictly increase."""
+    the hyperplane order, i.e. whose label indices strictly increase.
+    ``path`` holds the indices of its elements, the bottom's first."""
 
-    elements: tuple[SetPartition, ...]
+    path: tuple[int, ...]
     labels: tuple[int, ...]
 
     @property
@@ -98,8 +48,8 @@ class DecreasingChain:
         return len(self.labels)
 
     @property
-    def top(self) -> SetPartition:
-        return self.elements[-1]
+    def top(self) -> int:
+        return self.path[-1]
 
 
 @functools.lru_cache(maxsize=1 << MAX_N)
@@ -109,14 +59,28 @@ def _points(mask: int) -> tuple[int, ...]:
     return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def partition_text(n: int, blocks: Sequence[int]) -> str:
+    """A lattice element of a size-n lattice as text: each block's points,
+    blocks separated by ``|``, with commas between points once n >= 10.
+
+    >>> partition_text(4, (0b1101, 0b0010))
+    '134|2'
+    >>> partition_text(10, (0b0111111111, 0b1000000000))
+    '1,2,3,4,5,6,7,8,9|10'
+    """
+    sep = "" if n <= 9 else ","
+    return "|".join(sep.join(map(str, _points(b))) for b in blocks)
+
+
 class IntersectionLattice:
     """Bond lattice of the inversion graph, with covers, labels and Mobius data.
 
     ``hyperplanes[i]`` is the transposition of H_{i+1}; hyperplane order is
     H_1 > H_2 > ... > H_k, so the label of a cover is the *largest* index
-    among the hyperplanes first merged by it.  ``elements`` is sorted by
-    (rank, blocks) and ``masks[i]`` holds the block bitmasks of
-    ``elements[i]``.
+    among the hyperplanes first merged by it.  ``elements`` holds the
+    elements sorted by rank, then by their blocks' points, so the bottom is
+    ``elements[0]``; ``covers_up[k]`` lists the sorted (index, label) pairs
+    of the covers of ``elements[k]``.
     """
 
     def __init__(self, w: Permutation, expression: tuple[int, ...]):
@@ -130,14 +94,14 @@ class IntersectionLattice:
                 f"{expression!r} is not a reduced expression for {w}"
             )
         self._chains: Optional[tuple[DecreasingChain, ...]] = None
-        self._mobius: Optional[Mapping[SetPartition, int]] = None
+        self._mobius: Optional[tuple[int, ...]] = None
         self._build()
 
     def _build(self) -> None:
         n = self.w.n
         edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in self.hyperplanes]
 
-        # Label of merging blocks a < b, memoised on the pair; 0 when no
+        # Label of merging blocks a and b, memoised on the pair; 0 when no
         # edge crosses them.
         merge_labels: dict[int, int] = {}
 
@@ -154,7 +118,8 @@ class IntersectionLattice:
                 merge_labels[key] = label
             return label
 
-        # Elements keyed by their numerically sorted block masks.
+        # Blocks stay ordered by their smallest points: merging blocks i < j
+        # puts a | b at i, as it keeps a's smallest point.
         bottom = tuple(1 << v for v in range(n))
         ups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         level = [bottom]
@@ -167,36 +132,24 @@ class IntersectionLattice:
                         b = x[j]
                         label = merge_label(a, b)
                         if label:
-                            y = tuple(sorted(x[:i] + x[i + 1 : j] + x[j + 1 :] + (a | b,)))
+                            y = x[:i] + (a | b,) + x[i + 1 : j] + x[j + 1 :]
                             covers.append((y, label))
                             if y not in ups:
                                 ups[y] = []
                                 nxt.append(y)
             level = nxt
 
-        parts = {x: SetPartition._trusted(n, tuple(sorted(map(_points, x)))) for x in ups}
-        keys = sorted(ups, key=lambda x: (n - len(x), parts[x].blocks))
-        position = {x: k for k, x in enumerate(keys)}
-
-        self.elements: tuple[SetPartition, ...] = tuple(parts[x] for x in keys)
-        self.masks: tuple[tuple[int, ...], ...] = tuple(keys)
-        self.index: dict[SetPartition, int] = {
-            x: k for k, x in enumerate(self.elements)
-        }
-        self.bottom = self.elements[0]
+        self.elements: tuple[tuple[int, ...], ...] = tuple(
+            sorted(ups, key=lambda x: (n - len(x), tuple(map(_points, x))))
+        )
+        position = {x: k for k, x in enumerate(self.elements)}
         self.covers_up: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted((position[y], label) for y, label in ups[x])) for x in keys
+            tuple(sorted((position[y], label) for y, label in ups[x]))
+            for x in self.elements
         )
 
     def max_rank(self) -> int:
-        return self.elements[-1].rank if self.elements else 0
-
-    def cover_labels(self) -> list[tuple[SetPartition, SetPartition, int]]:
-        return [
-            (self.elements[i], self.elements[j], label)
-            for i in range(len(self.elements))
-            for j, label in self.covers_up[i]
-        ]
+        return self.w.n - len(self.elements[-1])
 
 
 def build_lattice(
@@ -223,21 +176,22 @@ def decreasing_chains(lattice: IntersectionLattice) -> tuple[DecreasingChain, ..
         return lattice._chains
     out: list[DecreasingChain] = []
 
-    def grow(idx: int, elements: tuple[SetPartition, ...], labels: tuple[int, ...]):
-        out.append(DecreasingChain(elements, labels))
+    def grow(path: tuple[int, ...], labels: tuple[int, ...]):
+        out.append(DecreasingChain(path, labels))
         last = labels[-1] if labels else 0
-        for j, label in lattice.covers_up[idx]:
+        for j, label in lattice.covers_up[path[-1]]:
             if label > last:
-                grow(j, elements + (lattice.elements[j],), labels + (label,))
+                grow(path + (j,), labels + (label,))
 
-    grow(0, (lattice.bottom,), ())
+    grow((0,), ())
     out.sort(key=lambda c: c.labels)
     lattice._chains = tuple(out)
     return lattice._chains
 
 
-def mobius_values(lattice: IntersectionLattice) -> Mapping[SetPartition, int]:
-    """|mu(bottom, x)| for every element, computed two independent ways.
+def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
+    """|mu(bottom, x)| for every element x, aligned with ``elements`` and
+    computed two independent ways.
 
     By Whitney's theorem (Rota 1964) the interval below x is the product of
     the bond lattices of its blocks, so |mu(bottom, x)| is the product over
@@ -245,8 +199,7 @@ def mobius_values(lattice: IntersectionLattice) -> Mapping[SetPartition, int]:
     polynomial of the induced graph G[B]; each block's factor is computed
     once.  The count of decreasing chains ending at x must agree; a mismatch
     means the lattice or its labelling is built wrongly.  The values are
-    computed once per lattice and shared by later calls, so the mapping is
-    read-only.
+    computed once per lattice and shared by later calls.
     """
     if lattice._mobius is not None:
         return lattice._mobius
@@ -265,18 +218,19 @@ def mobius_values(lattice: IntersectionLattice) -> Mapping[SetPartition, int]:
 
     by_chains = [0] * len(lattice.elements)
     for chain in decreasing_chains(lattice):
-        by_chains[lattice.index[chain.top]] += 1
+        by_chains[chain.top] += 1
 
-    out: dict[SetPartition, int] = {}
-    for x, blocks, chains in zip(lattice.elements, lattice.masks, by_chains):
+    out = []
+    for x, chains in zip(lattice.elements, by_chains):
         value = 1
-        for mask in blocks:
+        for mask in x:
             value *= block_value(mask)
         if value != chains:
             raise RuntimeError(
-                f"Mobius mismatch at {x}: {value} by the block product vs "
-                f"{chains} decreasing chains; lattice construction bug"
+                f"Mobius mismatch at {partition_text(lattice.w.n, x)}: {value} "
+                f"by the block product vs {chains} decreasing chains; lattice "
+                "construction bug"
             )
-        out[x] = value
-    lattice._mobius = types.MappingProxyType(out)
+        out.append(value)
+    lattice._mobius = tuple(out)
     return lattice._mobius

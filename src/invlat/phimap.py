@@ -8,14 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from invlat.bruhat import _word_leq, distances_from, interval
+from invlat.bruhat import _word_leq, distances_from
 from invlat.lattice import (
     DecreasingChain,
     IntersectionLattice,
-    SetPartition,
-    _points,
     build_lattice,
     decreasing_chains,
+    partition_text,
 )
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, format_one_line
@@ -43,10 +42,12 @@ def phi_table(
 
     The chains come in depth-first preorder, so a chain of length m finds
     its parent's product word and orbit masks in ``stack[m]`` (the
-    identity's when m = 0) and swaps the values of its last reflection.  With ``check`` on, raise if an image is not below w, if the
-    swap joins two points of one orbit (the absolute length falls short of
-    the chain length), or if the orbits are not the blocks of the chain's
-    top: each means a labelling bug.
+    identity's when m = 0) and swaps the values of its last reflection.
+    The orbits are kept in the lattice's order, by smallest point.  With
+    ``check`` on, raise if an image is not below w, if the swap joins two
+    points of one orbit (the absolute length falls short of the chain
+    length), or if the orbits are not the blocks of the chain's top: each
+    means a labelling bug.
     """
     if lattice is None:
         lattice = build_lattice(w, expression)
@@ -67,18 +68,23 @@ def phi_table(
                 raise RuntimeError(f"phi image {format_one_line(image)} is not below {w}")
             if m:
                 bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
-                merged = next(o for o in orbits if o & bit_a)
-                if merged & bit_b:
+                i = next(k for k, o in enumerate(orbits) if o & bit_a)
+                j = next(k for k, o in enumerate(orbits) if o & bit_b)
+                if i == j:
                     raise RuntimeError(
                         f"absolute length {n - len(orbits) - 1} != chain length "
                         f"{m} for labels {labels}"
                     )
-                merged |= next(o for o in orbits if o & bit_b)
-                orbits = tuple(sorted([o for o in orbits if not o & merged] + [merged]))
-            if orbits != lattice.masks[lattice.index[chain.top]]:
+                # b's orbit can start below a's, as for the chain (2, 3) of 321.
+                if i > j:
+                    i, j = j, i
+                merged = (orbits[i] | orbits[j],)
+                orbits = orbits[:i] + merged + orbits[i + 1 : j] + orbits[j + 1 :]
+            top = lattice.elements[chain.top]
+            if orbits != top:
                 raise RuntimeError(
-                    f"orbit partition {SetPartition(n, map(_points, orbits))} "
-                    f"differs from chain top {chain.top}"
+                    f"orbit partition {partition_text(n, orbits)} "
+                    f"differs from chain top {partition_text(n, top)}"
                 )
         del stack[m + 1 :]
         stack.append((word, orbits))
@@ -96,8 +102,9 @@ def is_injective(table: Sequence[PhiImage]) -> bool:
 
 def missed_elements(w: Permutation, table: Sequence[PhiImage]) -> tuple[Permutation, ...]:
     """The elements of [e, w] outside the table's image, sorted."""
-    image = {entry.image for entry in table}
-    return tuple(sorted(u for u in interval(w) if u not in image))
+    image = {entry.image.word for entry in table}
+    missed = sorted(u for u in distances_from(w) if u not in image)
+    return tuple(map(Permutation._trusted, missed))
 
 
 def verify_injective(

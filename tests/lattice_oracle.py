@@ -2,7 +2,9 @@
 O(|L|^2) Mobius recursion and the lattice's rank sums of |mu|, kept as
 independent oracles for ``invlat.lattice`` and ``chromatic.betti_numbers``.
 
-A partition is a canonical tuple of sorted blocks, e.g. ((1, 2), (3,)).  The
+A partition is a canonical tuple of sorted blocks, e.g. ((1, 2), (3,)), and
+``blocks_of`` reads a library element, a tuple of block bitmasks, in that
+form without reordering its blocks.  The
 lattice is the join closure of the atoms (one per hyperplane), and a cover's
 label is found by scanning the hyperplanes from the last one down for the
 first pair that the upper element joins and the lower one separates.
@@ -17,6 +19,14 @@ Blocks = tuple[tuple[int, ...], ...]
 
 def canon(blocks) -> Blocks:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def blocks_of(masks: tuple[int, ...]) -> Blocks:
+    """The points of each block bitmask (bit v-1 for point v), blocks kept
+    in the given order."""
+    return tuple(
+        tuple(v + 1 for v in range(m.bit_length()) if m >> v & 1) for m in masks
+    )
 
 
 def sort_key(n: int, p: Blocks):
@@ -139,6 +149,6 @@ def rank_betti(lattice: IntersectionLattice) -> tuple[int, ...]:
     """Sum of |mu| over each rank: Betti numbers of the complexified
     arrangement complement, summing to the region count."""
     out = [0] * (lattice.max_rank() + 1)
-    for x, value in mobius_values(lattice).items():
-        out[x.rank] += value
+    for x, value in zip(lattice.elements, mobius_values(lattice)):
+        out[lattice.w.n - len(x)] += value
     return tuple(out)

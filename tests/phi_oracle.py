@@ -9,9 +9,10 @@ product's cycles.
 from __future__ import annotations
 
 from invlat.bruhat import bruhat_leq
-from invlat.lattice import DecreasingChain, IntersectionLattice, SetPartition
+from invlat.lattice import DecreasingChain, IntersectionLattice
 from invlat.permutation import Permutation
 from invlat.phimap import PhiImage
+from lattice_oracle import blocks_of, canon
 
 
 def phi(
@@ -40,9 +41,9 @@ def phi(
                 f"absolute length {w.n - len(cycles)} != chain length "
                 f"{chain.length} for labels {chain.labels}"
             )
-        if tuple(tuple(sorted(c)) for c in cycles) != chain.top.blocks:
+        top = blocks_of(lattice.elements[chain.top])
+        if canon(cycles) != top:
             raise RuntimeError(
-                f"orbit partition {SetPartition(w.n, cycles)} differs from "
-                f"chain top {chain.top}"
+                f"orbit partition {canon(cycles)} differs from chain top {top}"
             )
     return PhiImage(chain, product, image)

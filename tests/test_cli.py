@@ -108,6 +108,8 @@ class TestAnalyze:
         [
             ("S_1..S_5", "2ba3fa135b821fb34711a0baab8eca04962e299e5fe37e68ab2429e4439985a2"),
             ("918273645", "53267672a341b997ecf55b97a60d12747661948392adba9463f216ce4f92a1e2"),
+            # n >= 10: points print with commas between them.
+            ("2,1,3,4,5,6,7,8,10,9", "aa28b5509c71e0bb24d56732d6a6cb348caabbf280fa1f7c8650f2aa8a620e8e"),
         ],
     )
     def test_json_is_pinned(self, population, expected):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from invlat.bruhat import interval_size
 from invlat.chromatic import betti_numbers, chromatic_of
 from invlat.lattice import (
-    SetPartition,
     build_lattice,
     decreasing_chains,
     mobius_values,
+    partition_text,
 )
 from invlat.permutation import (
     InversionGraph,
@@ -16,7 +16,13 @@ from invlat.permutation import (
     all_reduced_expressions,
     reduced_expression,
 )
-from lattice_oracle import oracle_lattice, oracle_mobius, rank_betti, refines
+from lattice_oracle import (
+    blocks_of,
+    oracle_lattice,
+    oracle_mobius,
+    rank_betti,
+    refines,
+)
 from util import (
     acyclic_orientations_brute,
     all_perms,
@@ -48,34 +54,17 @@ GOLDEN_COVERS = [
 ]
 
 
-class TestSetPartition:
-    def test_canonical_form(self):
-        p = SetPartition(4, [(3, 4), (2,), (1,)])
-        assert p.blocks == ((1,), (2,), (3, 4))
-        assert str(p) == "1|2|34"
-        assert p.rank == 1
-
-    def test_large_n_format(self):
-        p = SetPartition(10, [tuple(range(1, 10)), (10,)])
-        assert str(p) == "1,2,3,4,5,6,7,8,9|10"
-
-    def test_rejects_bad_blocks(self):
-        with pytest.raises(ValueError):
-            SetPartition(3, [(1, 2)])
-        with pytest.raises(ValueError):
-            SetPartition(3, [(1, 2), (2, 3)])
-
-
 class TestBuildLattice:
     def test_identity_lattice(self):
         lattice = build_lattice(Permutation.identity(4))
         assert len(lattice.elements) == 1
-        assert lattice.elements[0] == SetPartition.singletons(4)
+        assert lattice.elements[0] == (1, 2, 4, 8)
         assert decreasing_chains(lattice)[0].labels == ()
 
     def test_golden_elements_and_covers(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
-        assert [str(x) for x in lattice.elements] == [
+        names = [partition_text(4, x) for x in lattice.elements]
+        assert names == [
             "1|2|3|4",
             "1|2|34",
             "12|3|4",
@@ -87,7 +76,11 @@ class TestBuildLattice:
             "134|2",
             "1234",
         ]
-        got = [(str(a), str(b), label) for a, b, label in lattice.cover_labels()]
+        got = [
+            (names[i], names[j], label)
+            for i, ups in enumerate(lattice.covers_up)
+            for j, label in ups
+        ]
         assert got == GOLDEN_COVERS
 
     def test_non_reduced_expression_rejected(self):
@@ -103,7 +96,7 @@ class TestBuildLattice:
         for w in all_perms(n):
             lattice = build_lattice(w)
             expected = bond_partitions_oracle(n, [tuple(t) for t in w.inversions()])
-            assert {x.blocks for x in lattice.elements} == expected
+            assert {blocks_of(x) for x in lattice.elements} == expected
 
     def test_4231_element_count_is_bond_count(self):
         lattice = build_lattice(W4231)
@@ -131,10 +124,16 @@ class TestDecreasingChains:
         ]
 
     def test_labels_strictly_increase(self):
-        lattice = build_lattice(W4231)
-        for chain in decreasing_chains(lattice):
-            assert all(a < b for a, b in zip(chain.labels, chain.labels[1:]))
-            assert len(chain.elements) == len(chain.labels) + 1
+        # Each chain starts at the bottom and steps along covers_up by the
+        # cover it labels.
+        for w in (w for n in range(1, 6) for w in all_perms(n)):
+            lattice = build_lattice(w)
+            for chain in decreasing_chains(lattice):
+                path, labels = chain.path, chain.labels
+                assert path[0] == 0 and len(path) == len(labels) + 1
+                assert all(a < b for a, b in zip(labels, labels[1:]))
+                for k, label in enumerate(labels):
+                    assert (path[k + 1], label) in lattice.covers_up[path[k]]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chain_count_is_orientation_count(self, n):
@@ -154,21 +153,21 @@ class TestDecreasingChains:
             assert len(counts) == 1
 
 
-def _count_increasing_chains(lattice, lower, upper):
-    """Saturated chains from lower to upper whose label indices strictly
-    decrease, i.e. increase in the hyperplane order."""
+def _count_increasing_chains(lattice, blocks, lower, upper):
+    """Saturated chains from element lower to element upper whose label
+    indices strictly decrease, i.e. increase in the hyperplane order;
+    ``blocks[k]`` is element k's blocks."""
 
-    def walk(idx, last, target):
-        x = lattice.elements[idx]
-        if x == target:
+    def walk(idx, last):
+        if idx == upper:
             return 1
         total = 0
         for j, label in lattice.covers_up[idx]:
-            if label < last and refines(lattice.elements[j].blocks, target.blocks):
-                total += walk(j, label, target)
+            if label < last and refines(blocks[j], blocks[upper]):
+                total += walk(j, label)
         return total
 
-    return walk(lattice.index[lower], len(lattice.hyperplanes) + 1, upper)
+    return walk(lower, len(lattice.hyperplanes) + 1)
 
 
 class TestELProperty:
@@ -176,16 +175,19 @@ class TestELProperty:
     def test_unique_increasing_chain_in_every_interval(self, n):
         for w in all_perms(n):
             lattice = build_lattice(w)
-            for lower in lattice.elements:
-                for upper in lattice.elements:
-                    if lower != upper and refines(lower.blocks, upper.blocks):
-                        assert _count_increasing_chains(lattice, lower, upper) == 1
+            blocks = [blocks_of(x) for x in lattice.elements]
+            for lower, x in enumerate(blocks):
+                for upper, y in enumerate(blocks):
+                    if lower != upper and refines(x, y):
+                        count = _count_increasing_chains(lattice, blocks, lower, upper)
+                        assert count == 1
 
 
 class TestMobiusAndBetti:
     def test_golden_values(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
-        mu = {str(x): v for x, v in mobius_values(lattice).items()}
+        names = [partition_text(4, x) for x in lattice.elements]
+        mu = dict(zip(names, mobius_values(lattice)))
         assert mu == {
             "1|2|3|4": 1,
             "1|2|34": 1,
@@ -214,11 +216,12 @@ class TestMobiusAndBetti:
         mu = mobius_values(lattice)
         assert mobius_values(lattice) is mu
         with pytest.raises(TypeError):
-            mu[lattice.bottom] = 2
+            mu[0] = 2
 
     def test_bottom_is_one(self):
         lattice = build_lattice(W4231)
-        assert mobius_values(lattice)[SetPartition.singletons(4)] == 1
+        assert lattice.elements[0] == (1, 2, 4, 8)
+        assert mobius_values(lattice)[0] == 1
 
     def test_identity_betti(self):
         e = Permutation.identity(3)
@@ -277,10 +280,9 @@ def assert_matches_oracle(lattice):
     build and the O(|L|^2) Mobius recursion."""
     n = lattice.w.n
     elements, covers_up = oracle_lattice(n, lattice.hyperplanes)
-    assert [x.blocks for x in lattice.elements] == elements
+    assert [blocks_of(x) for x in lattice.elements] == elements
     assert list(lattice.covers_up) == covers_up
-    mu = mobius_values(lattice)
-    assert [mu[x] for x in lattice.elements] == oracle_mobius(n, elements)
+    assert list(mobius_values(lattice)) == oracle_mobius(n, elements)
 
 
 class TestAgainstRetiredOracle:

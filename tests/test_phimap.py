@@ -80,15 +80,15 @@ class TestPhi:
         covers[3] = ((6, 1), (8, 3))
         covers[8] = ((9, 4),)
         repeated_orbit = self.corrupted(covers_up=tuple(covers))
-        # 123|4 given the masks of 124|3: the chain (1, 2) has orbits
-        # 123|4, so they differ from its top's masks.
-        masks = list(lattice.masks)
-        masks[6] = masks[7]
-        wrong_top = self.corrupted(masks=tuple(masks))
+        # 123|4 replaced by 124|3: the chain (1, 2) has orbits 123|4, so
+        # they differ from its top's blocks.
+        elements = list(lattice.elements)
+        elements[6] = elements[7]
+        wrong_top = self.corrupted(elements=tuple(elements))
         cases = [
             (not_below, "not below"),
             (repeated_orbit, "absolute length"),
-            (wrong_top, "orbit partition"),
+            (wrong_top, r"orbit partition 123\|4 differs from chain top 124\|3"),
         ]
         for bad, message in cases:
             with pytest.raises(RuntimeError, match=message):

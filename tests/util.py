@@ -191,7 +191,7 @@ def region_count(w: Permutation, expression: Optional[Sequence[int]] = None) -> 
     """Number of regions of the inversion arrangement of w, as the total
     Mobius mass of its intersection lattice; the arrangement may be taken
     essentialized without changing the count."""
-    return sum(mobius_values(build_lattice(w, expression)).values())
+    return sum(mobius_values(build_lattice(w, expression)))
 
 
 @lru_cache(maxsize=None)
