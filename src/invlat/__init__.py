@@ -4,8 +4,6 @@ identities for permutations of the symmetric group."""
 from invlat.bruhat import (
     bruhat_leq,
     bubbles,
-    directed_distance,
-    interval,
     interval_size,
     rank_matrix,
 )
@@ -20,10 +18,8 @@ from invlat.chromatic import (
     opy_chromatic,
 )
 from invlat.lattice import (
-    DecreasingChain,
     IntersectionLattice,
     build_lattice,
-    decreasing_chains,
     mobius_values,
     partition_text,
 )
@@ -48,15 +44,11 @@ from invlat.phimap import (
     PhiImage,
     phi_table,
     verify_characterization,
-    verify_going_down,
-    verify_injective,
-    verify_surjective,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecreasingChain",
     "IntPoly",
     "IntersectionLattice",
     "InversionGraph",
@@ -73,11 +65,8 @@ __all__ = [
     "chromatic_of",
     "chromatic_polynomial",
     "contains",
-    "decreasing_chains",
-    "directed_distance",
     "distance_poly",
     "find_reduction_pair",
-    "interval",
     "interval_size",
     "is_chromobruhatic",
     "is_smooth",
@@ -91,8 +80,5 @@ __all__ = [
     "reduction_step",
     "reflection_sequence",
     "verify_characterization",
-    "verify_going_down",
-    "verify_injective",
-    "verify_surjective",
     "witness_below",
 ]

@@ -1,7 +1,7 @@
 """Bruhat order on the symmetric group: the comparison u <= w by rank counts
-at w's bubbles, the lower interval's size and length counts, its enumeration
-with directed distances in the Bruhat graph, and the downward covers in the
-two-sided weak order."""
+at w's bubbles, the lower interval's size and length counts, the directed
+distances to w in the Bruhat graph from every element of the interval, and
+the downward covers in the two-sided weak order."""
 
 from __future__ import annotations
 
@@ -136,11 +136,6 @@ def interval_length_counts(w: Permutation) -> tuple[int, ...]:
     return tuple((packed >> (width * k)) & field for k in range(w.length() + 1))
 
 
-def interval(w: Permutation) -> list[Permutation]:
-    """The lower interval [e, w], in lexicographic order."""
-    return [Permutation(word) for word in sorted(distances_from(w))]
-
-
 def interval_size(w: Permutation) -> int:
     """br(w) = |[e, w]| as an exact integer, for any w with n <= 12."""
     return sum(interval_length_counts(w))
@@ -175,18 +170,6 @@ def distances_from(w: Permutation) -> Mapping[tuple[int, ...], int]:
                             nxt.append(t)
         frontier = nxt
     return types.MappingProxyType(dist)
-
-
-def directed_distance(u: Permutation, w: Permutation) -> int:
-    """Length of a shortest directed path u -> t_1 u -> ... -> w where each
-    step multiplies by a transposition and raises the length."""
-    if u.n != w.n:
-        raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    dist = distances_from(w)
-    try:
-        return dist[u.word]
-    except KeyError:
-        raise ValueError(f"{u} is not below {w} in the Bruhat order") from None
 
 
 def two_sided_weak_covers(w: Permutation) -> set[Permutation]:

@@ -23,7 +23,12 @@ from invlat.chromatic import (
     chromatic_of,
     distance_poly,
 )
-from invlat.lattice import build_lattice, mobius_values, partition_text
+from invlat.lattice import (
+    _element_indices,
+    build_lattice,
+    mobius_values,
+    partition_text,
+)
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
@@ -39,15 +44,22 @@ from invlat.permutation import (
     record_positions,
     reduced_expression,
 )
-from invlat.phimap import is_injective, missed_elements, phi_table
+from invlat.phimap import missed_elements, phi_table
 
 
-def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
+def analyze(w: Permutation) -> dict[str, Any]:
     """Everything this package knows about one permutation, as a JSON-ready
-    dict with pinned key order."""
+    dict with pinned key order.
+
+    The decreasing chains are walked once, for the chain map; the lattice
+    gives the elements, covers and Mobius values, and each chain's top is
+    looked up among its elements.
+    """
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
-    mu = mobius_values(lattice)
+    table = phi_table(w, expr)
+    tops = list(_element_indices(lattice, (entry.top for entry in table)))
+    mu = mobius_values(lattice, tops)
     re = sum(mu)
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
@@ -55,11 +67,18 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
     br = interval_size(w)
     smooth = is_smooth(w)
     avoiding = is_chromobruhatic(w)
-    table = phi_table(w, check=phi_checks, lattice=lattice)
-    injective = is_injective(table)
-    missed = missed_elements(w, table)
+    images = {entry.image.word for entry in table}
+    injective = len(images) == len(table)
+    missed = missed_elements(w, images)
     surjective = not missed
     names = [partition_text(w.n, x) for x in lattice.elements]
+    # The table is in depth-first preorder, so a chain of length m extends
+    # the first m + 1 elements of the last chain of length m - 1.
+    paths, path = [], []
+    for entry, top in zip(table, tops):
+        del path[len(entry.labels) :]
+        path.append(names[top])
+        paths.append(list(path))
 
     report: dict[str, Any] = {
         "schema_version": 1,
@@ -95,12 +114,12 @@ def analyze(w: Permutation, phi_checks: bool = True) -> dict[str, Any]:
         },
         "phi_table": [
             {
-                "labels": list(entry.chain.labels),
-                "chain": [names[k] for k in entry.chain.path],
+                "labels": list(entry.labels),
+                "chain": chain,
                 "product": entry.product.cycle_string(),
                 "image": str(entry.image),
             }
-            for entry in table
+            for entry, chain in zip(table, paths)
         ],
         "phi_injective": injective,
         "phi_surjective": surjective,
@@ -208,7 +227,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = analyze(w, phi_checks=args.phi_checks)
+    report = analyze(w)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -308,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("permutation", help="e.g. 4132, or 10,1,2,... for n >= 10")
     p_analyze.add_argument("--format", choices=("text", "json"), default="text")
-    p_analyze.add_argument(
-        "--phi-checks",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="eagerly re-verify the chain map invariants (disable for bulk speed)",
-    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="exhaustive check over all of S_n")

@@ -1,4 +1,5 @@
-"""The intersection lattice of a permutation's inversion arrangement.
+"""The intersection lattice of a permutation's inversion arrangement, and
+the walk over its label-decreasing chains.
 
 For the symmetric group the lattice is the bond lattice of the inversion
 graph: elements are set partitions of {1, ..., n} whose blocks are connected
@@ -8,20 +9,21 @@ whose strictly decreasing chains from the bottom count the regions of the
 arrangement.
 
 An element is a tuple of block bitmasks (bit v-1 stands for point v), the
-blocks ordered by their smallest point; chains, covers and Mobius values
-refer to elements by their index in ``IntersectionLattice.elements``, and
-``partition_text`` turns an element into text only for printing.  The
-lattice grows rank by rank from the singletons: merging two blocks of an
-element gives one of its covers exactly when some inversion edge crosses
-them, and the cover's label is the largest hyperplane index among the
-crossing edges.
+blocks ordered by their smallest point; covers and Mobius values refer to
+elements by their index in ``IntersectionLattice.elements``, and
+``partition_text`` turns an element into text only for printing.  Merging
+two blocks of an element gives one of its covers exactly when some
+inversion edge crosses them, and the cover's label is the largest
+hyperplane index among the crossing edges (``_merge_labeller``).  The
+lattice grows rank by rank from the singletons by that rule, and
+``_chain_walk`` follows the same rule along the decreasing chains alone,
+with no lattice.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
@@ -32,24 +34,6 @@ from invlat.permutation import (
     reduced_expression,
     reflection_sequence,
 )
-
-
-@dataclass(frozen=True)
-class DecreasingChain:
-    """A saturated chain from the bottom whose labels strictly decrease in
-    the hyperplane order, i.e. whose label indices strictly increase.
-    ``path`` holds the indices of its elements, the bottom's first."""
-
-    path: tuple[int, ...]
-    labels: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.labels)
-
-    @property
-    def top(self) -> int:
-        return self.path[-1]
 
 
 @functools.lru_cache(maxsize=1 << MAX_N)
@@ -72,6 +56,83 @@ def partition_text(n: int, blocks: Sequence[int]) -> str:
     return "|".join(sep.join(map(str, _points(b))) for b in blocks)
 
 
+def _hyperplanes(
+    w: Permutation, expression: Sequence[int]
+) -> tuple[Transposition, ...]:
+    """H_1, ..., H_k as transpositions, read off ``expression``, which must
+    be a reduced expression for w."""
+    hyperplanes = reflection_sequence(w.n, expression)
+    if evaluate_word(w.n, expression) != w or len(expression) != w.length():
+        raise ValueError(f"{tuple(expression)!r} is not a reduced expression for {w}")
+    return hyperplanes
+
+
+def _merge_labeller(
+    n: int, hyperplanes: Sequence[Transposition]
+) -> Callable[[int, int], int]:
+    """``merge_label(a, b)``: the label of merging blocks a and b, the
+    largest index of a hyperplane whose edge crosses them, or 0 when none
+    does; memoised on the pair."""
+    edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in hyperplanes]
+    labels: dict[int, int] = {}
+
+    def merge_label(a: int, b: int) -> int:
+        key = a << n | b
+        label = labels.get(key)
+        if label is None:
+            label = 0
+            for i in range(len(edges), 0, -1):
+                e = edges[i - 1]
+                if e & a and e & b:
+                    label = i
+                    break
+            labels[key] = label
+        return label
+
+    return merge_label
+
+
+def _chain_walk(
+    n: int, hyperplanes: Sequence[Transposition]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Yield ``(labels, product word, blocks)`` for every label-decreasing
+    saturated chain from the bottom, every length included, in depth-first
+    preorder with the labels tried ascending: that is, lexicographically by
+    label sequence.
+
+    Decreasing in the hyperplane order H_1 > ... > H_k means the integer
+    labels strictly increase.  Appending j to a chain is a cover exactly
+    when t_j = (a b) joins two different blocks A and B of its top and j is
+    the largest index of a hyperplane crossing A and B, the rule the
+    lattice labels its covers by.  ``blocks`` is the chain's top as a
+    lattice element.  The product word is that of t_{j_1} ... t_{j_m}: each
+    label swaps the values a and b, which lie in different cycles, so the
+    cycles of the product are the blocks.
+    """
+    merge_label = _merge_labeller(n, hyperplanes)
+    steps = [(j, t.i, t.j) for j, t in enumerate(hyperplanes, 1)]
+    tops: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    # owner[v - 1] is the block of point v; listing the distinct blocks in
+    # point order puts them in the element's order, by smallest point.
+    # Chains with the same top share one tuple of it.
+    def grow(labels, word, owner, start):
+        blocks = tuple(dict.fromkeys(owner))
+        yield labels, word, tops.setdefault(blocks, blocks)
+        for j, a, b in steps[start:]:
+            block_a, block_b = owner[a - 1], owner[b - 1]
+            if block_a != block_b and merge_label(block_a, block_b) == j:
+                merged = block_a | block_b
+                yield from grow(
+                    labels + (j,),
+                    tuple(b if v == a else a if v == b else v for v in word),
+                    tuple(merged if o & merged else o for o in owner),
+                    j,
+                )
+
+    yield from grow((), tuple(range(1, n + 1)), tuple(1 << v for v in range(n)), 0)
+
+
 class IntersectionLattice:
     """Bond lattice of the inversion graph, with covers, labels and Mobius data.
 
@@ -86,38 +147,13 @@ class IntersectionLattice:
     def __init__(self, w: Permutation, expression: tuple[int, ...]):
         self.w = w
         self.expression = expression
-        self.hyperplanes: tuple[Transposition, ...] = reflection_sequence(
-            w.n, expression
-        )
-        if evaluate_word(w.n, expression) != w or len(expression) != w.length():
-            raise ValueError(
-                f"{expression!r} is not a reduced expression for {w}"
-            )
-        self._chains: Optional[tuple[DecreasingChain, ...]] = None
+        self.hyperplanes = _hyperplanes(w, expression)
         self._mobius: Optional[tuple[int, ...]] = None
         self._build()
 
     def _build(self) -> None:
         n = self.w.n
-        edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in self.hyperplanes]
-
-        # Label of merging blocks a and b, memoised on the pair; 0 when no
-        # edge crosses them.
-        merge_labels: dict[int, int] = {}
-
-        def merge_label(a: int, b: int) -> int:
-            key = a << n | b
-            label = merge_labels.get(key)
-            if label is None:
-                label = 0
-                for i in range(len(edges), 0, -1):
-                    e = edges[i - 1]
-                    if e & a and e & b:
-                        label = i
-                        break
-                merge_labels[key] = label
-            return label
-
+        merge_label = _merge_labeller(n, self.hyperplanes)
         # Blocks stay ordered by their smallest points: merging blocks i < j
         # puts a | b at i, as it keeps a's smallest point.
         bottom = tuple(1 << v for v in range(n))
@@ -164,32 +200,25 @@ def build_lattice(
     return IntersectionLattice(w, expr)
 
 
-def decreasing_chains(lattice: IntersectionLattice) -> tuple[DecreasingChain, ...]:
-    """All label-decreasing saturated chains from the bottom, every length
-    included; ordered lexicographically by label sequence.
-
-    Decreasing in the hyperplane order H_1 > ... > H_k means the integer
-    labels strictly increase along the chain.  The chains are computed once
-    per lattice and shared by later calls.
-    """
-    if lattice._chains is not None:
-        return lattice._chains
-    out: list[DecreasingChain] = []
-
-    def grow(path: tuple[int, ...], labels: tuple[int, ...]):
-        out.append(DecreasingChain(path, labels))
-        last = labels[-1] if labels else 0
-        for j, label in lattice.covers_up[path[-1]]:
-            if label > last:
-                grow(path + (j,), labels + (label,))
-
-    grow((0,), ())
-    out.sort(key=lambda c: c.labels)
-    lattice._chains = tuple(out)
-    return lattice._chains
+def _element_indices(
+    lattice: IntersectionLattice, tops: Iterable[tuple[int, ...]]
+) -> Iterator[int]:
+    """The index in ``lattice.elements`` of each walked chain's top; a top
+    that is no element of the lattice raises, as a labelling bug."""
+    position = {x: k for k, x in enumerate(lattice.elements)}
+    for top in tops:
+        k = position.get(top)
+        if k is None:
+            raise RuntimeError(
+                f"chain top {partition_text(lattice.w.n, top)} is not an element "
+                "of the lattice; labelling bug"
+            )
+        yield k
 
 
-def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
+def mobius_values(
+    lattice: IntersectionLattice, tops: Optional[Iterable[int]] = None
+) -> tuple[int, ...]:
     """|mu(bottom, x)| for every element x, aligned with ``elements`` and
     computed two independent ways.
 
@@ -198,11 +227,14 @@ def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
     the blocks B of x of the absolute linear coefficient of the chromatic
     polynomial of the induced graph G[B]; each block's factor is computed
     once.  The count of decreasing chains ending at x must agree; a mismatch
-    means the lattice or its labelling is built wrongly.  The values are
+    means the lattice or its labelling is built wrongly.  ``tops`` gives the
+    index of each decreasing chain's top, for a caller that has walked the
+    chains already; by default they are walked here.  The values are
     computed once per lattice and shared by later calls.
     """
     if lattice._mobius is not None:
         return lattice._mobius
+    n = lattice.w.n
     word = lattice.w.word
     block_values: dict[int, int] = {}
 
@@ -216,9 +248,12 @@ def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
             value = block_values[mask] = abs(chromatic_of(pattern).coefficient(1))
         return value
 
+    if tops is None:
+        walk = _chain_walk(n, lattice.hyperplanes)
+        tops = _element_indices(lattice, (blocks for _, _, blocks in walk))
     by_chains = [0] * len(lattice.elements)
-    for chain in decreasing_chains(lattice):
-        by_chains[chain.top] += 1
+    for k in tops:
+        by_chains[k] += 1
 
     out = []
     for x, chains in zip(lattice.elements, by_chains):
@@ -227,7 +262,7 @@ def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
             value *= block_value(mask)
         if value != chains:
             raise RuntimeError(
-                f"Mobius mismatch at {partition_text(lattice.w.n, x)}: {value} "
+                f"Mobius mismatch at {partition_text(n, x)}: {value} "
                 f"by the block product vs {chains} decreasing chains; lattice "
                 "construction bug"
             )

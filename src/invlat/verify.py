@@ -7,7 +7,10 @@ sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
 ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
 that carries the prefix-set DP for br and the colouring DP for ao side by
 side, so words that share a prefix share its work and no table of n!
-entries is kept.
+entries is kept.  The chain checks (``phi-injective``,
+``phi-surjective-iff``, ``going-down``) read the decreasing chains off the
+chain walk of ``invlat.lattice`` and build no lattice; a chain that breaks
+the chain map is reported as a counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from invlat.bruhat import (
     _bubble_rows,
     _dominated_sets,
     _grow,
+    _word_leq,
     bruhat_leq,
     interval_length_counts,
+    interval_size,
     two_sided_weak_covers,
 )
 from invlat.chromatic import (
@@ -35,6 +40,7 @@ from invlat.chromatic import (
     chromatic_of,
     opy_chromatic,
 )
+from invlat.lattice import _chain_walk, _hyperplanes
 from invlat.patterns import (
     classify_pair,
     find_reduction_pair,
@@ -47,14 +53,10 @@ from invlat.permutation import (
     Permutation,
     all_permutations,
     all_reduced_expressions,
+    format_one_line,
+    reduced_expression,
 )
-from invlat.phimap import (
-    phi_table,
-    verify_characterization,
-    verify_going_down,
-    verify_injective,
-    verify_surjective,
-)
+from invlat.phimap import _images, missed_elements, verify_characterization
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
@@ -207,46 +209,103 @@ def _check_conjecture_b(n: int, options: dict) -> _Scan:
     return _scan(starmap(one, _count_walk(n)))
 
 
+def _phi_images(
+    w: Permutation, expression: Optional[tuple[int, ...]] = None
+) -> tuple[Optional[dict], dict[tuple[int, ...], tuple[int, ...]]]:
+    """Map every decreasing chain of w through phi, walked with no lattice.
+
+    Returns the first chain whose image is not below w or repeats an
+    earlier chain's image, as a counterexample (w, labels, reason), or
+    None; and the image words met, each with its chain's labels.
+    """
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for labels, _, _, image in _images(w, expression):
+        reason = None
+        if not _word_leq(image, w):
+            reason = f"image {format_one_line(image)} is not below w"
+        elif image in images:
+            reason = (
+                f"image {format_one_line(image)} is also the image of the "
+                f"chain {list(images[image])}"
+            )
+        if reason is not None:
+            return {"w": str(w), "labels": list(labels), "reason": reason}, images
+        images[image] = labels
+    return None, images
+
+
 def _check_phi_injective(n: int, options: dict) -> _Scan:
     expr_mode = options.get("expr", "canonical")
 
     def failure(w: Permutation):
-        if expr_mode == "canonical":
-            if not verify_injective(w):
-                return {"w": str(w), "expression": "canonical"}
-            return None
-        for expr in all_reduced_expressions(w):
-            if not verify_injective(w, expr):
-                return {"w": str(w), "expression": list(expr)}
+        canonical = expr_mode == "canonical"
+        for expr in [None] if canonical else all_reduced_expressions(w):
+            found, _ = _phi_images(w, expr)
+            if found is not None:
+                found["expression"] = "canonical" if canonical else list(expr)
+                return found
         return None
 
     return _run_per_w(n, lambda w: (failure(w), {}))
 
 
 def _check_phi_surjective_iff(n: int, options: dict) -> _Scan:
+    """The chain map is onto [e, w] exactly when w avoids the four patterns.
+
+    The images are checked to be distinct and below w, so they fill [e, w]
+    exactly when there are br(w) chains; the interval is enumerated only to
+    list the missed elements of a failing w.  Given injectivity, the count
+    test is Theorem B (re(w) = br(w) iff avoiding): what this check adds on
+    its own is that the images really are distinct and below w.
+    """
+
     def one(w: Permutation):
-        surjective, missed = verify_surjective(w)
+        found, images = _phi_images(w)
         avoiding = is_chromobruhatic(w)
-        failure = None
-        if surjective != avoiding:
-            failure = {
-                "w": str(w),
-                "surjective": surjective,
-                "avoiding": avoiding,
-                "missed": [str(u) for u in missed[:5]],
-            }
-        return failure, {"avoiding": int(avoiding)}
+        if found is None:
+            surjective = len(images) == interval_size(w)
+            if surjective != avoiding:
+                missed = missed_elements(w, images)
+                found = {
+                    "w": str(w),
+                    "surjective": surjective,
+                    "avoiding": avoiding,
+                    "missed": [str(u) for u in missed[:5]],
+                }
+        return found, {"avoiding": int(avoiding)}
 
     return _run_per_w(n, one)
 
 
-def _check_going_down(n: int, options: dict) -> _Scan:
-    def failure(w: Permutation):
-        if not verify_going_down(w):
-            return {"w": str(w)}
-        return None
+def _going_down_failure(w: Permutation) -> Optional[dict]:
+    """The first decreasing chain, labels j_1 < ... < j_m, whose walk
+    w > t_{j_m} w > t_{j_(m-1)} t_{j_m} w > ... fails to descend strictly
+    in Bruhat order, as a counterexample (w, labels, reason); None when
+    every walk descends.
 
-    return _run_per_w(n, lambda w: (failure(w), {}))
+    Each walk ends at the chain's image u = p(C) w, which then lies at
+    directed distance exactly m from w, so no breadth-first search is
+    needed.  A directed path of k steps from u to w writes u w^-1 = p(C)
+    as a product of k reflections, so k is at least the absolute length of
+    p(C), which is m: every label of the chain walk joins two different
+    orbits.  The walk itself, read upwards, is such a path with m steps.
+    """
+    hyperplanes = _hyperplanes(w, reduced_expression(w))
+    for labels, _, _ in _chain_walk(w.n, hyperplanes):
+        current = list(w.word)
+        for j in reversed(labels):
+            a, b = hyperplanes[j - 1]
+            # With a < b, (a b) * x swaps positions a and b, and lies
+            # strictly below x exactly when x(a) > x(b).
+            if current[a - 1] < current[b - 1]:
+                reason = f"t{j} does not go down from {format_one_line(current)}"
+                return {"w": str(w), "labels": list(labels), "reason": reason}
+            current[a - 1], current[b - 1] = current[b - 1], current[a - 1]
+    return None
+
+
+def _check_going_down(n: int, options: dict) -> _Scan:
+    return _run_per_w(n, lambda w: (_going_down_failure(w), {}))
 
 
 def _check_characterization(n: int, options: dict) -> _Scan:
@@ -481,7 +540,7 @@ def _check_weak_chain(n: int, options: dict) -> _Scan:
             reachable.add(w.word)
 
     def one(w: Permutation):
-        chromo = is_chromobruhatic(w)
+        chromo = w.word in chromo_words
         failure = {"w": str(w)} if chromo and w.word not in reachable else None
         return failure, {"chromobruhatic": int(chromo)}
 

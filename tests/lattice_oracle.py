@@ -1,6 +1,8 @@
 """The retired join-closure construction of the bond lattice, the
-O(|L|^2) Mobius recursion and the lattice's rank sums of |mu|, kept as
-independent oracles for ``invlat.lattice`` and ``chromatic.betti_numbers``.
+O(|L|^2) Mobius recursion, the lattice's rank sums of |mu| and the
+depth-first search for decreasing chains along a built lattice's covers,
+kept as independent oracles for ``invlat.lattice`` and
+``chromatic.betti_numbers``.
 
 A partition is a canonical tuple of sorted blocks, e.g. ((1, 2), (3,)), and
 ``blocks_of`` reads a library element, a tuple of block bitmasks, in that
@@ -152,3 +154,22 @@ def rank_betti(lattice: IntersectionLattice) -> tuple[int, ...]:
     for x, value in zip(lattice.elements, mobius_values(lattice)):
         out[lattice.w.n - len(x)] += value
     return tuple(out)
+
+
+def decreasing_chains(lattice: IntersectionLattice) -> list[tuple[tuple, tuple]]:
+    """``(path, labels)`` of every label-decreasing saturated chain from the
+    bottom, every length included, found by depth-first search along
+    ``covers_up`` and sorted by label sequence; ``path`` holds the indices
+    of the chain's elements, the bottom's first."""
+    out = []
+
+    def grow(path, labels):
+        out.append((path, labels))
+        last = labels[-1] if labels else 0
+        for j, label in lattice.covers_up[path[-1]]:
+            if label > last:
+                grow(path + (j,), labels + (label,))
+
+    grow((0,), ())
+    out.sort(key=lambda chain: chain[1])
+    return out

@@ -17,9 +17,7 @@ from interval_oracle import (
 from invlat.bruhat import (
     bruhat_leq,
     bubbles,
-    directed_distance,
     distances_from,
-    interval,
     interval_length_counts,
     interval_size,
     rank_matrix,
@@ -37,7 +35,9 @@ from util import (
     all_perms,
     brute_permanent,
     count_table,
+    directed_distance,
     full_graph_distance,
+    interval,
     weak_leq_left,
     weak_leq_right,
 )

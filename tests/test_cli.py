@@ -11,7 +11,7 @@ from invlat import verify
 from invlat.bruhat import distances_from
 from invlat.cli import analyze, main
 from invlat.permutation import Permutation, parse_permutation
-from util import all_perms
+from util import all_perms, corrupt_second_hyperplane
 
 
 def run_cli(capsys, *argv):
@@ -66,32 +66,35 @@ class TestAnalyze:
         assert code == 2
         assert "'x'" in err
 
-    def test_no_phi_checks_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "analyze", "4132", "--no-phi-checks", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["br"] == 12
-
     def test_analyze_function_matches_cli(self):
         report = analyze(Permutation((4, 1, 3, 2)))
         assert report["re"] == 12
 
     def test_analyze_builds_one_lattice(self, monkeypatch):
+        # One lattice, for the elements, covers and Mobius values, and one
+        # walk over the decreasing chains, for the chain map and the
+        # Mobius cross-check both.
         import invlat.cli
+        import invlat.lattice
         import invlat.phimap
 
-        builds = []
-        real = invlat.cli.build_lattice
+        builds, walks = [], []
+        real_build = invlat.cli.build_lattice
+        real_walk = invlat.lattice._chain_walk
 
-        def counting(*args, **kwargs):
+        def counting_build(*args, **kwargs):
             builds.append(args)
-            return real(*args, **kwargs)
+            return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(invlat.cli, "build_lattice", counting)
-        monkeypatch.setattr(invlat.phimap, "build_lattice", counting)
+        def counting_walk(*args):
+            walks.append(args)
+            return real_walk(*args)
+
+        monkeypatch.setattr(invlat.cli, "build_lattice", counting_build)
+        monkeypatch.setattr(invlat.lattice, "_chain_walk", counting_walk)
+        monkeypatch.setattr(invlat.phimap, "_chain_walk", counting_walk)
         report = analyze(Permutation((4, 2, 3, 1)))
-        assert len(builds) == 1
+        assert len(builds) == len(walks) == 1
         assert report["re"] == len(report["phi_table"]) == 18
 
     def test_analyze_runs_one_bfs(self):
@@ -184,6 +187,29 @@ class TestVerifyCommand:
         assert code == 1
         assert out.startswith("FAIL")
 
+    @pytest.mark.parametrize(
+        "check, reason",
+        [
+            ("phi-injective", "image 3412 is not below w"),
+            ("phi-surjective-iff", "image 3412 is not below w"),
+            ("going-down", "t2 does not go down from 4132"),
+        ],
+    )
+    def test_chain_check_reports_image_not_below_w(
+        self, capsys, monkeypatch, check, reason
+    ):
+        # A counterexample and exit 1, not a traceback.
+        corrupt_second_hyperplane(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "verify", "--check", check, "--n", "4", "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["payload"]["failure_count"] == 1
+        failure = report["counterexamples"][0]
+        assert failure["w"] == "4132" and failure["labels"] == [1, 2]
+        assert failure["reason"] == reason
+
     def test_reproducible_json(self, capsys):
         _, out1, _ = run_cli(
             capsys, "verify", "--check", "betti", "--n", "4", "--format", "json"
@@ -266,6 +292,12 @@ class TestUsage:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    def test_phi_checks_flag_is_gone(self):
+        # The table always tests each image against w.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "4132", "--no-phi-checks"])
         assert exc.value.code == 2
 
     def test_bad_format_value(self):

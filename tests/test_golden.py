@@ -33,8 +33,8 @@ def _run_golden_with(monkeypatch, capsys, alter):
     """Run ``invlat golden`` on an ``analyze`` whose report ``alter`` edits."""
     real = cli.analyze
 
-    def altered(w, phi_checks=True):
-        report = copy.deepcopy(real(w, phi_checks))
+    def altered(w):
+        report = copy.deepcopy(real(w))
         alter(report)
         return report
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,19 +7,22 @@ from hypothesis import strategies as st
 from invlat.bruhat import interval_size
 from invlat.chromatic import betti_numbers, chromatic_of
 from invlat.lattice import (
+    _chain_walk,
+    _element_indices,
     build_lattice,
-    decreasing_chains,
     mobius_values,
     partition_text,
 )
 from invlat.permutation import (
     InversionGraph,
     Permutation,
+    Transposition,
     all_reduced_expressions,
     reduced_expression,
 )
 from lattice_oracle import (
     blocks_of,
+    decreasing_chains,
     oracle_lattice,
     oracle_mobius,
     rank_betti,
@@ -59,7 +64,7 @@ class TestBuildLattice:
         lattice = build_lattice(Permutation.identity(4))
         assert len(lattice.elements) == 1
         assert lattice.elements[0] == (1, 2, 4, 8)
-        assert decreasing_chains(lattice)[0].labels == ()
+        assert list(walk(lattice)) == [((), (1, 2, 3, 4), (1, 2, 4, 8))]
 
     def test_golden_elements_and_covers(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
@@ -104,11 +109,30 @@ class TestBuildLattice:
         assert len(lattice.elements) == len(oracle) == 13
 
 
+def walk(lattice):
+    """The chain walk over the lattice's own hyperplane order."""
+    return _chain_walk(lattice.w.n, lattice.hyperplanes)
+
+
+def assert_walk_matches_cover_dfs(lattice):
+    """The walk gives the chains that the depth-first search along
+    ``covers_up`` finds, in the same order, each with the product of its
+    reflections and its top element."""
+    expected = []
+    for path, labels in decreasing_chains(lattice):
+        word = list(range(1, lattice.w.n + 1))
+        for j in labels:
+            a, b = lattice.hyperplanes[j - 1]
+            word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
+        product = Permutation(word).inverse().word
+        expected.append((labels, product, lattice.elements[path[-1]]))
+    assert list(walk(lattice)) == expected
+
+
 class TestDecreasingChains:
     def test_golden_chain_words(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
-        chains = decreasing_chains(lattice)
-        assert [c.labels for c in chains] == [
+        assert [labels for labels, _, _ in walk(lattice)] == [
             (),
             (1,),
             (1, 2),
@@ -125,29 +149,49 @@ class TestDecreasingChains:
 
     def test_labels_strictly_increase(self):
         # Each chain starts at the bottom and steps along covers_up by the
-        # cover it labels.
+        # cover it labels.  In preorder a chain of length m extends the
+        # last chain of length m - 1 before it, which gives its path.
         for w in (w for n in range(1, 6) for w in all_perms(n)):
             lattice = build_lattice(w)
-            for chain in decreasing_chains(lattice):
-                path, labels = chain.path, chain.labels
+            chains = list(walk(lattice))
+            tops = _element_indices(lattice, (top for _, _, top in chains))
+            path = []
+            for (labels, _, _), top in zip(chains, tops):
+                del path[len(labels) :]
+                path.append(top)
                 assert path[0] == 0 and len(path) == len(labels) + 1
                 assert all(a < b for a, b in zip(labels, labels[1:]))
                 for k, label in enumerate(labels):
                     assert (path[k + 1], label) in lattice.covers_up[path[k]]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_cover_dfs_exhaustive(self, n):
+        for w in all_perms(n):
+            assert_walk_matches_cover_dfs(build_lattice(w))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_cover_dfs_sampled(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            w = Permutation(rng.sample(range(1, n + 1), n))
+            assert_walk_matches_cover_dfs(build_lattice(w))
+
+    def test_every_reduced_expression_of_s4(self):
+        for w in all_perms(4):
+            for expr in all_reduced_expressions(w):
+                assert_walk_matches_cover_dfs(build_lattice(w, expr))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chain_count_is_orientation_count(self, n):
         for w in all_perms(n):
-            lattice = build_lattice(w)
-            assert len(decreasing_chains(lattice)) == acyclic_orientations_brute(
-                InversionGraph.of(w)
-            )
+            chains = sum(1 for _ in walk(build_lattice(w)))
+            assert chains == acyclic_orientations_brute(InversionGraph.of(w))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_count_independent_of_expression(self, n):
         for w in all_perms(n):
             counts = {
-                len(decreasing_chains(build_lattice(w, expr)))
+                sum(1 for _ in walk(build_lattice(w, expr)))
                 for expr in all_reduced_expressions(w)
             }
             assert len(counts) == 1
@@ -202,13 +246,25 @@ class TestMobiusAndBetti:
         }
         assert rank_betti(lattice) == (1, 4, 5, 2)
 
-    def test_mislabelled_cover_is_caught(self):
+    @staticmethod
+    def relabelled(last):
+        """4132's lattice with H_4 = (3 4) read as ``last`` by the chain walk."""
         lattice = build_lattice(W4132, (1, 2, 3, 2))
-        # Label 0 on the cover 1|2|3|4 -> 1|2|34 cuts every chain through it.
-        bottom_covers = lattice.covers_up[0]
-        assert bottom_covers[0] == (1, 4)
-        lattice.covers_up = ((((1, 0),) + bottom_covers[1:]),) + lattice.covers_up[1:]
+        lattice.hyperplanes = lattice.hyperplanes[:3] + (last,)
+        return lattice
+
+    def test_mislabelled_cover_is_caught(self):
+        # With H_4 read as (1 2), no label joins 3 and 4: the chain (4,) to
+        # 1|2|34 is lost.
+        lattice = self.relabelled(Transposition(1, 2))
         with pytest.raises(RuntimeError, match="Mobius mismatch at 1\\|2\\|34"):
+            mobius_values(lattice)
+
+    def test_top_outside_the_lattice_is_caught(self):
+        # With H_4 read as (2 3), the chain (3, 4) ends at 14|23, which the
+        # inversion graph of 4132 does not connect.
+        lattice = self.relabelled(Transposition(2, 3))
+        with pytest.raises(RuntimeError, match=r"chain top 14\|23 is not an element"):
             mobius_values(lattice)
 
     def test_computed_once_and_read_only(self):

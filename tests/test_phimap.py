@@ -1,22 +1,19 @@
-import copy
 import itertools
 import random
 
 import pytest
 
-from invlat.bruhat import bruhat_leq, distances_from, interval
-from invlat.lattice import build_lattice, decreasing_chains
+import invlat.phimap
+import invlat.verify
+from invlat.bruhat import bruhat_leq, distances_from, interval_size
+from invlat.lattice import build_lattice
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, Transposition, all_reduced_expressions
-from invlat.phimap import (
-    phi_table,
-    verify_characterization,
-    verify_going_down,
-    verify_injective,
-    verify_surjective,
-)
-from phi_oracle import phi
-from util import all_perms
+from invlat.permutation import Permutation, all_reduced_expressions
+from invlat.phimap import missed_elements, phi_table, verify_characterization
+from invlat.verify import _going_down_failure, _phi_images
+from lattice_oracle import blocks_of, canon, decreasing_chains
+from phi_oracle import going_down, phi
+from util import all_perms, corrupt_second_hyperplane, interval
 
 W4132 = Permutation((4, 1, 3, 2))
 W4231 = Permutation((4, 2, 3, 1))
@@ -40,62 +37,28 @@ GOLDEN_TABLE = {
 class TestPhi:
     def test_empty_chain_maps_to_w(self):
         entry = phi_table(W4132, (1, 2, 3, 2))[0]
-        assert entry.chain.labels == ()
+        assert entry.labels == ()
+        assert entry.top == (1, 2, 4, 8)
         assert entry.product.is_identity()
         assert entry.image == W4132
 
     def test_golden_table(self):
         table = phi_table(W4132, (1, 2, 3, 2))
-        got = {entry.chain.labels: str(entry.image) for entry in table}
+        got = {entry.labels: str(entry.image) for entry in table}
         assert got == GOLDEN_TABLE
 
     def test_specific_chain(self):
         table = phi_table(W4132, (1, 2, 3, 2))
-        by_labels = {entry.chain.labels: entry for entry in table}
+        by_labels = {entry.labels: entry for entry in table}
         entry = by_labels[(1, 2, 4)]
         assert str(entry.image) == "1243"
         assert entry.product.cycle_string() == "(1 2 4 3)"
 
-    @staticmethod
-    def corrupted(**changes):
-        """A copy of 4132's lattice with some attributes replaced and its
-        decreasing chains recomputed."""
-        bad = copy.copy(build_lattice(W4132, (1, 2, 3, 2)))
-        for name, value in changes.items():
-            setattr(bad, name, value)
-        bad._chains = None
-        return bad
-
-    def test_eager_checks_catch_bad_chains(self):
-        lattice = build_lattice(W4132, (1, 2, 3, 2))
-        # H_2 read as (2 3): the chain (1, 2) maps to t1 (2 3) w = 3412,
-        # which is not below 4132.
-        hyperplanes = list(lattice.hyperplanes)
-        hyperplanes[1] = Transposition(2, 3)
-        not_below = self.corrupted(hyperplanes=tuple(hyperplanes))
-        # Relabel 13|2|4 < 134|2 by 3 and 134|2 < 1234 by 4: the chain
-        # (2, 3, 4) appears, and H_4 = (3 4) joins two points that the
-        # product (1 3)(1 4) already has in one orbit.
-        covers = list(lattice.covers_up)
-        covers[3] = ((6, 1), (8, 3))
-        covers[8] = ((9, 4),)
-        repeated_orbit = self.corrupted(covers_up=tuple(covers))
-        # 123|4 replaced by 124|3: the chain (1, 2) has orbits 123|4, so
-        # they differ from its top's blocks.
-        elements = list(lattice.elements)
-        elements[6] = elements[7]
-        wrong_top = self.corrupted(elements=tuple(elements))
-        cases = [
-            (not_below, "not below"),
-            (repeated_orbit, "absolute length"),
-            (wrong_top, r"orbit partition 123\|4 differs from chain top 124\|3"),
-        ]
-        for bad, message in cases:
-            with pytest.raises(RuntimeError, match=message):
-                phi_table(W4132, lattice=bad)
-            # Unchecked, the table maps every chain and raises nothing.
-            unchecked = phi_table(W4132, check=False, lattice=bad)
-            assert len(unchecked) == len(decreasing_chains(bad))
+    def test_eager_checks_catch_bad_chains(self, monkeypatch):
+        corrupt_second_hyperplane(monkeypatch)
+        message = r"3412 of the chain \(1, 2\) is not below 4132"
+        with pytest.raises(RuntimeError, match=message):
+            phi_table(W4132, (1, 2, 3, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_oracle_exhaustive(self, n):
@@ -110,54 +73,86 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eager_invariants_hold(self, n):
-        # check=True raises internally if any of the three facts break.
+        # The table raises on an image not below w; the chain length and
+        # the orbits hold by construction.
         for w in all_perms(n):
-            table = phi_table(w, check=True)
-            for entry in table:
+            for entry in phi_table(w):
                 assert entry.image == entry.product * w
+                assert w.n - len(entry.top) == len(entry.labels)
+                assert canon(entry.product.cycles()) == blocks_of(entry.top)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_length_drop_parity(self, n):
         for w in all_perms(n):
-            for entry in phi_table(w, check=False):
+            for entry in phi_table(w):
                 drop = w.length() - entry.image.length()
-                m = entry.chain.length
+                m = len(entry.labels)
                 assert drop >= m
                 assert (drop - m) % 2 == 0
 
 
 def assert_matches_oracle(w: Permutation) -> None:
-    """``phi_table`` maps every chain of w's lattice, in order, to the
-    chain, product and image the per-chain oracle gives, checked or not."""
+    """``phi_table`` maps every chain that the depth-first search along the
+    lattice's covers finds, in order, to the labels, top, product and image
+    the per-chain oracle gives."""
     lattice = build_lattice(w)
-    expected = [phi(chain, w, lattice) for chain in decreasing_chains(lattice)]
-    assert phi_table(w, lattice=lattice) == expected
-    assert phi_table(w, check=False, lattice=lattice) == expected
+    chains = decreasing_chains(lattice)
+    expected = [phi(path, labels, w, lattice) for path, labels in chains]
+    assert phi_table(w) == expected
+
+
+def injective(w: Permutation, expression=None) -> bool:
+    """The chain checks' verdict: every image is below w and no two
+    chains share one."""
+    found, _ = _phi_images(w, expression)
+    return found is None
+
+
+def surjective(w: Permutation) -> tuple[bool, tuple[Permutation, ...]]:
+    """Whether the images fill [e, w], by the elements they miss."""
+    found, images = _phi_images(w)
+    assert found is None, found
+    missed = missed_elements(w, images)
+    return not missed, missed
 
 
 class TestInjectivity:
     def test_identity(self):
-        assert verify_injective(Permutation.identity(3))
+        assert injective(Permutation.identity(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_expression(self, n):
         for w in all_perms(n):
-            assert verify_injective(w)
+            assert injective(w)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_reduced_expression(self, n):
         for w in all_perms(n):
             for expr in all_reduced_expressions(w):
-                assert verify_injective(w, expr)
+                assert injective(w, expr)
+
+    def test_shared_image_is_reported(self, monkeypatch):
+        # The chain (1,) listed a second time shares its image.
+        def walk_twice(w, expression=None):
+            rows = list(invlat.phimap._images(w, expression))
+            return rows + rows[1:2]
+
+        monkeypatch.setattr(invlat.verify, "_images", walk_twice)
+        found, _ = _phi_images(W4132)
+        assert found == {
+            "w": "4132",
+            "labels": [1],
+            "reason": "image 1432 is also the image of the chain [1]",
+        }
 
 
 class TestSurjectivity:
     def test_identity(self):
-        ok, missed = verify_surjective(Permutation.identity(3))
+        ok, missed = surjective(Permutation.identity(3))
         assert ok and missed == ()
 
     def test_4231_misses_two(self):
-        ok, missed = verify_surjective(W4231)
+        ok, missed = surjective(W4231)
         assert not ok
         assert [str(u) for u in missed] == ["1324", "2314"]
         # Evenly many missed elements of each length parity.
@@ -167,16 +162,19 @@ class TestSurjectivity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_iff_avoidance(self, n):
         for w in all_perms(n):
-            ok, missed = verify_surjective(w)
+            ok, missed = surjective(w)
             assert ok == is_chromobruhatic(w)
             assert ok == (not missed)
-            image_size = len(phi_table(w, check=False))
+            # Distinct images below w fill [e, w] exactly when there are
+            # br(w) of them: the count the check tests.
+            image_size = len(phi_table(w))
+            assert ok == (image_size == interval_size(w))
             assert image_size + len(missed) == len(interval(w))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_missed_parity_balance(self, n):
         for w in all_perms(n):
-            _, missed = verify_surjective(w)
+            _, missed = surjective(w)
             evens = sum(1 for u in missed if u.length() % 2 == 0)
             odds = len(missed) - evens
             assert evens == odds
@@ -184,12 +182,15 @@ class TestSurjectivity:
 
 class TestGoingDown:
     def test_identity(self):
-        assert verify_going_down(Permutation.identity(2))
+        assert _going_down_failure(Permutation.identity(2)) is None
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_exhaustive(self, n):
+        # The check tests strict descent alone; the breadth-first oracle
+        # also tests that each image lies at distance m from w.
         for w in all_perms(n):
-            assert verify_going_down(w)
+            assert _going_down_failure(w) is None
+            assert going_down(w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_descent_comparison_matches_bruhat_leq(self, n):
@@ -202,7 +203,17 @@ class TestGoingDown:
     def test_distances_equal_chain_length(self):
         dist = distances_from(W4132)
         for entry in phi_table(W4132, (1, 2, 3, 2)):
-            assert dist[entry.image.word] == entry.chain.length
+            assert dist[entry.image.word] == len(entry.labels)
+
+    def test_failed_descent_is_reported(self, monkeypatch):
+        # With H_2 read as (2 3), the chain (1, 2) first applies (2 3) to
+        # 4132, which swaps 1 and 3 upwards.
+        corrupt_second_hyperplane(monkeypatch)
+        assert _going_down_failure(W4132) == {
+            "w": "4132",
+            "labels": [1, 2],
+            "reason": "t2 does not go down from 4132",
+        }
 
 
 class TestCharacterization:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from interval_oracle import hull_fillings, hull_rows
@@ -70,6 +72,23 @@ class TestRunCheck:
         report = verify.run_check(check, 5)
         assert report.passed
         assert list(report.payload.items()) == list(self.PAYLOADS_N5[check].items())
+
+    @pytest.mark.parametrize(
+        "check", ["phi-injective", "phi-surjective-iff", "going-down"]
+    )
+    def test_chain_checks_need_no_lattice_and_no_bfs(self, monkeypatch, check):
+        # Every w of S_4 passes, so phi-surjective-iff lists no missed
+        # elements either: the chains come from the walk alone.
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{check} called a lattice build or a BFS")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("invlat"):
+                for attr in ("build_lattice", "IntersectionLattice", "distances_from"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, forbidden)
+        report = verify.run_check(check, 4)
+        assert report.passed
 
     def test_conjecture_a_equal_count_at_n7(self):
         report = verify.run_check("conjectureA", 7)

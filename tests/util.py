@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: pattern
 containment tries every index subset, distances walk the full group, the
 permanent sums over permutations, acyclic orientations are tried one by
 one, bond-lattice elements come from raw edge-subset enumeration, and the
-weak orders compare inversion sets.  Two helpers read the library instead:
+weak orders compare inversion sets.  Four helpers read the library instead:
+``interval`` and ``directed_distance`` read ``bruhat.distances_from``,
 ``region_count`` sums the Mobius values of a built lattice, and
 ``count_table`` collects the count sweeps' walk.
 """
@@ -15,8 +16,10 @@ import itertools
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import invlat.lattice
+from invlat.bruhat import distances_from
 from invlat.lattice import build_lattice, mobius_values
-from invlat.permutation import InversionGraph, Permutation
+from invlat.permutation import InversionGraph, Permutation, Transposition
 from invlat.verify import _count_walk
 
 
@@ -99,6 +102,22 @@ def acyclic_orientations_brute(g: InversionGraph) -> int:
                     ready.append(u)
         count += removed == n
     return count
+
+
+def interval(w: Permutation) -> list[Permutation]:
+    """The lower interval [e, w], in lexicographic order."""
+    return [Permutation(word) for word in sorted(distances_from(w))]
+
+
+def directed_distance(u: Permutation, w: Permutation) -> int:
+    """Length of a shortest directed path u -> t_1 u -> ... -> w where each
+    step multiplies by a transposition and raises the length."""
+    if u.n != w.n:
+        raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
+    try:
+        return distances_from(w)[u.word]
+    except KeyError:
+        raise ValueError(f"{u} is not below {w} in the Bruhat order") from None
 
 
 def weak_leq_right(u: Permutation, w: Permutation) -> bool:
@@ -199,3 +218,18 @@ def count_table(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """(br, ao) for every word of S_n, read off the count sweeps' walk, in
     the order it yields them."""
     return {word: (br, ao) for word, br, ao in _count_walk(n)}
+
+
+def corrupt_second_hyperplane(monkeypatch) -> None:
+    """Make the hyperplane order of 4132's reduced expression s1 s2 s3 s2
+    read H_2 = (1 3) as (2 3): the chain (1, 2) then maps to
+    t1 (2 3) 4132 = 3412, which is not below 4132."""
+    real = invlat.lattice.reflection_sequence
+
+    def corrupted(n, expression):
+        hyperplanes = real(n, expression)
+        if tuple(expression) == (1, 2, 3, 2):
+            hyperplanes = (hyperplanes[0], Transposition(2, 3)) + hyperplanes[2:]
+        return hyperplanes
+
+    monkeypatch.setattr(invlat.lattice, "reflection_sequence", corrupted)
