@@ -23,12 +23,7 @@ from invlat.chromatic import (
     chromatic_of,
     distance_poly,
 )
-from invlat.lattice import (
-    _element_indices,
-    build_lattice,
-    mobius_values,
-    partition_text,
-)
+from invlat.lattice import build_lattice, mobius_values, partition_text
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
@@ -51,15 +46,14 @@ def analyze(w: Permutation) -> dict[str, Any]:
     """Everything this package knows about one permutation, as a JSON-ready
     dict with pinned key order.
 
-    The decreasing chains are walked once, for the chain map; the lattice
-    gives the elements, covers and Mobius values, and each chain's top is
-    looked up among its elements.
+    The lattice walks the decreasing chains once and keeps them, with each
+    chain's top as an element index; the chain map and the Mobius
+    cross-check both read those chains.
     """
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
-    table = phi_table(w, expr)
-    tops = list(_element_indices(lattice, (entry.top for entry in table)))
-    mu = mobius_values(lattice, tops)
+    table = phi_table(lattice)
+    mu = mobius_values(lattice)
     re = sum(mu)
     chi = chromatic_of(w)
     dpoly = distance_poly(w)
@@ -75,9 +69,9 @@ def analyze(w: Permutation) -> dict[str, Any]:
     # The table is in depth-first preorder, so a chain of length m extends
     # the first m + 1 elements of the last chain of length m - 1.
     paths, path = [], []
-    for entry, top in zip(table, tops):
+    for entry in table:
         del path[len(entry.labels) :]
-        path.append(names[top])
+        path.append(names[entry.top])
         paths.append(list(path))
 
     report: dict[str, Any] = {

@@ -9,21 +9,23 @@ whose strictly decreasing chains from the bottom count the regions of the
 arrangement.
 
 An element is a tuple of block bitmasks (bit v-1 stands for point v), the
-blocks ordered by their smallest point; covers and Mobius values refer to
-elements by their index in ``IntersectionLattice.elements``, and
+blocks ordered by their smallest point; chains, covers and Mobius values
+refer to elements by their index in ``IntersectionLattice.elements``, and
 ``partition_text`` turns an element into text only for printing.  Merging
 two blocks of an element gives one of its covers exactly when some
 inversion edge crosses them, and the cover's label is the largest
-hyperplane index among the crossing edges (``_merge_labeller``).  The
-lattice grows rank by rank from the singletons by that rule, and
-``_chain_walk`` follows the same rule along the decreasing chains alone,
-with no lattice.
+hyperplane index among the crossing edges (``_merge_labeller``).
+``_chain_walk`` follows that rule along the decreasing chains alone, with
+no lattice, and is the lattice's only enumeration: every element tops at
+least one decreasing chain, so ``IntersectionLattice`` takes its elements
+from the chain tops and its covers from the same rule, and checks that the
+covers of the tops are tops.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
@@ -134,58 +136,65 @@ def _chain_walk(
 
 
 class IntersectionLattice:
-    """Bond lattice of the inversion graph, with covers, labels and Mobius data.
+    """Bond lattice of the inversion graph, with its decreasing chains,
+    covers, labels and Mobius data.
 
     ``hyperplanes[i]`` is the transposition of H_{i+1}; hyperplane order is
     H_1 > H_2 > ... > H_k, so the label of a cover is the *largest* index
-    among the hyperplanes first merged by it.  ``elements`` holds the
-    elements sorted by rank, then by their blocks' points, so the bottom is
-    ``elements[0]``; ``covers_up[k]`` lists the sorted (index, label) pairs
-    of the covers of ``elements[k]``.
+    among the hyperplanes first merged by it.  ``chains`` holds one
+    ``(labels, product word, top index)`` per decreasing chain, in label
+    order, as ``_chain_walk`` yields them.  ``elements`` holds the distinct
+    chain tops sorted by rank, then by their blocks' points, so the bottom
+    is ``elements[0]``; ``covers_up[k]`` lists the sorted (index, label)
+    pairs of the covers of ``elements[k]``.
+
+    Every element of a geometric lattice has |mu(bottom, x)| >= 1 (Rota
+    1964), and the decreasing chains ending at x number |mu(bottom, x)|
+    under this labelling (Bjorner 1980), so every element tops a chain.
+    The build checks it: the bottom tops the empty chain, and a cover of
+    some top that tops no chain raises, so the tops are closed upwards and
+    are the lattice.
     """
 
     def __init__(self, w: Permutation, expression: tuple[int, ...]):
+        n = w.n
         self.w = w
-        self.expression = expression
         self.hyperplanes = _hyperplanes(w, expression)
         self._mobius: Optional[tuple[int, ...]] = None
-        self._build()
-
-    def _build(self) -> None:
-        n = self.w.n
-        merge_label = _merge_labeller(n, self.hyperplanes)
-        # Blocks stay ordered by their smallest points: merging blocks i < j
-        # puts a | b at i, as it keeps a's smallest point.
-        bottom = tuple(1 << v for v in range(n))
-        ups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        level = [bottom]
-        while level:
-            nxt = []
-            for x in level:
-                covers = ups[x] = []
-                for i, a in enumerate(x):
-                    for j in range(i + 1, len(x)):
-                        b = x[j]
-                        label = merge_label(a, b)
-                        if label:
-                            y = x[:i] + (a | b,) + x[i + 1 : j] + x[j + 1 :]
-                            covers.append((y, label))
-                            if y not in ups:
-                                ups[y] = []
-                                nxt.append(y)
-            level = nxt
-
+        chains = list(_chain_walk(n, self.hyperplanes))
         self.elements: tuple[tuple[int, ...], ...] = tuple(
-            sorted(ups, key=lambda x: (n - len(x), tuple(map(_points, x))))
+            sorted(
+                {top for _, _, top in chains},
+                key=lambda x: (n - len(x), tuple(map(_points, x))),
+            )
         )
         position = {x: k for k, x in enumerate(self.elements)}
-        self.covers_up: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted((position[y], label) for y, label in ups[x]))
-            for x in self.elements
+        self.chains: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] = tuple(
+            (labels, word, position[top]) for labels, word, top in chains
         )
 
-    def max_rank(self) -> int:
-        return self.w.n - len(self.elements[-1])
+        # Blocks stay ordered by their smallest points: merging blocks i < j
+        # puts a | b at i, as it keeps a's smallest point.
+        merge_label = _merge_labeller(n, self.hyperplanes)
+        covers_up = []
+        for x in self.elements:
+            ups = []
+            for i, a in enumerate(x):
+                for j in range(i + 1, len(x)):
+                    b = x[j]
+                    label = merge_label(a, b)
+                    if label:
+                        y = x[:i] + (a | b,) + x[i + 1 : j] + x[j + 1 :]
+                        k = position.get(y)
+                        if k is None:
+                            raise RuntimeError(
+                                f"{partition_text(n, y)} covers "
+                                f"{partition_text(n, x)} but tops no decreasing "
+                                "chain; labelling bug"
+                            )
+                        ups.append((k, label))
+            covers_up.append(tuple(sorted(ups)))
+        self.covers_up: tuple[tuple[tuple[int, int], ...], ...] = tuple(covers_up)
 
 
 def build_lattice(
@@ -200,25 +209,7 @@ def build_lattice(
     return IntersectionLattice(w, expr)
 
 
-def _element_indices(
-    lattice: IntersectionLattice, tops: Iterable[tuple[int, ...]]
-) -> Iterator[int]:
-    """The index in ``lattice.elements`` of each walked chain's top; a top
-    that is no element of the lattice raises, as a labelling bug."""
-    position = {x: k for k, x in enumerate(lattice.elements)}
-    for top in tops:
-        k = position.get(top)
-        if k is None:
-            raise RuntimeError(
-                f"chain top {partition_text(lattice.w.n, top)} is not an element "
-                "of the lattice; labelling bug"
-            )
-        yield k
-
-
-def mobius_values(
-    lattice: IntersectionLattice, tops: Optional[Iterable[int]] = None
-) -> tuple[int, ...]:
+def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
     """|mu(bottom, x)| for every element x, aligned with ``elements`` and
     computed two independent ways.
 
@@ -226,11 +217,10 @@ def mobius_values(
     the bond lattices of its blocks, so |mu(bottom, x)| is the product over
     the blocks B of x of the absolute linear coefficient of the chromatic
     polynomial of the induced graph G[B]; each block's factor is computed
-    once.  The count of decreasing chains ending at x must agree; a mismatch
-    means the lattice or its labelling is built wrongly.  ``tops`` gives the
-    index of each decreasing chain's top, for a caller that has walked the
-    chains already; by default they are walked here.  The values are
-    computed once per lattice and shared by later calls.
+    once.  The count of decreasing chains ending at x, read off
+    ``lattice.chains``, must agree; a mismatch means the lattice or its
+    labelling is built wrongly.  The values are computed once per lattice
+    and shared by later calls.
     """
     if lattice._mobius is not None:
         return lattice._mobius
@@ -248,11 +238,8 @@ def mobius_values(
             value = block_values[mask] = abs(chromatic_of(pattern).coefficient(1))
         return value
 
-    if tops is None:
-        walk = _chain_walk(n, lattice.hyperplanes)
-        tops = _element_indices(lattice, (blocks for _, _, blocks in walk))
     by_chains = [0] * len(lattice.elements)
-    for k in tops:
+    for _, _, k in lattice.chains:
         by_chains[k] += 1
 
     out = []

@@ -218,8 +218,10 @@ def _phi_images(
     earlier chain's image, as a counterexample (w, labels, reason), or
     None; and the image words met, each with its chain's labels.
     """
+    expr = expression if expression is not None else reduced_expression(w)
+    walk = _chain_walk(w.n, _hyperplanes(w, expr))
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for labels, _, _, image in _images(w, expression):
+    for labels, _, _, image in _images(w, walk):
         reason = None
         if not _word_leq(image, w):
             reason = f"image {format_one_line(image)} is not below w"
@@ -588,9 +590,6 @@ def run_check(
     started = time.perf_counter()
     scan = CHECKS[check](n, {"expr": expr})
     elapsed = time.perf_counter() - started
-    population = 1
-    for i in range(2, n + 1):
-        population *= i
     failures = scan.failures
     truncated = cap is not None and len(failures) > cap
     payload = dict(sorted(scan.counts.items()))
@@ -600,7 +599,7 @@ def run_check(
     return Report(
         check=check,
         n=n,
-        population=population,
+        population=factorial(n),
         passed=not failures,
         counterexamples=failures[:cap] if cap is not None else failures,
         payload=payload,

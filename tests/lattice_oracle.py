@@ -150,7 +150,7 @@ def oracle_mobius(n: int, elements: list[Blocks]) -> list[int]:
 def rank_betti(lattice: IntersectionLattice) -> tuple[int, ...]:
     """Sum of |mu| over each rank: Betti numbers of the complexified
     arrangement complement, summing to the region count."""
-    out = [0] * (lattice.max_rank() + 1)
+    out = [0] * (lattice.w.n - len(lattice.elements[-1]) + 1)
     for x, value in zip(lattice.elements, mobius_values(lattice)):
         out[lattice.w.n - len(x)] += value
     return tuple(out)

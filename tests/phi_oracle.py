@@ -47,7 +47,7 @@ def phi(
         raise RuntimeError(
             f"orbit partition {canon(cycles)} differs from chain top {blocks_of(top)}"
         )
-    return PhiImage(labels, top, product, image)
+    return PhiImage(labels, path[-1], product, image)
 
 
 def going_down(w: Permutation) -> bool:

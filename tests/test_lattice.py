@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invlat.lattice
 from invlat.bruhat import interval_size
 from invlat.chromatic import betti_numbers, chromatic_of
-from invlat.lattice import (
-    _chain_walk,
-    _element_indices,
-    build_lattice,
-    mobius_values,
-    partition_text,
-)
+from invlat.lattice import _chain_walk, build_lattice, mobius_values, partition_text
 from invlat.permutation import (
     InversionGraph,
     Permutation,
@@ -115,9 +110,10 @@ def walk(lattice):
 
 
 def assert_walk_matches_cover_dfs(lattice):
-    """The walk gives the chains that the depth-first search along
-    ``covers_up`` finds, in the same order, each with the product of its
-    reflections and its top element."""
+    """The walk, and the lattice's chains with their tops read as elements,
+    give the chains that the depth-first search along ``covers_up`` finds,
+    in the same order, each with the product of its reflections and its
+    top element."""
     expected = []
     for path, labels in decreasing_chains(lattice):
         word = list(range(1, lattice.w.n + 1))
@@ -127,6 +123,8 @@ def assert_walk_matches_cover_dfs(lattice):
         product = Permutation(word).inverse().word
         expected.append((labels, product, lattice.elements[path[-1]]))
     assert list(walk(lattice)) == expected
+    kept = [(labels, word, lattice.elements[k]) for labels, word, k in lattice.chains]
+    assert kept == expected
 
 
 class TestDecreasingChains:
@@ -153,10 +151,8 @@ class TestDecreasingChains:
         # last chain of length m - 1 before it, which gives its path.
         for w in (w for n in range(1, 6) for w in all_perms(n)):
             lattice = build_lattice(w)
-            chains = list(walk(lattice))
-            tops = _element_indices(lattice, (top for _, _, top in chains))
             path = []
-            for (labels, _, _), top in zip(chains, tops):
+            for labels, _, top in lattice.chains:
                 del path[len(labels) :]
                 path.append(top)
                 assert path[0] == 0 and len(path) == len(labels) + 1
@@ -247,25 +243,39 @@ class TestMobiusAndBetti:
         assert rank_betti(lattice) == (1, 4, 5, 2)
 
     @staticmethod
-    def relabelled(last):
-        """4132's lattice with H_4 = (3 4) read as ``last`` by the chain walk."""
-        lattice = build_lattice(W4132, (1, 2, 3, 2))
-        lattice.hyperplanes = lattice.hyperplanes[:3] + (last,)
-        return lattice
+    def relabelled(monkeypatch, last):
+        """4132's lattice, walked with H_4 = (3 4) read as ``last``."""
+        real = invlat.lattice._hyperplanes
+        monkeypatch.setattr(
+            invlat.lattice, "_hyperplanes", lambda w, expr: real(w, expr)[:3] + (last,)
+        )
+        return build_lattice(W4132, (1, 2, 3, 2))
 
-    def test_mislabelled_cover_is_caught(self):
-        # With H_4 read as (1 2), no label joins 3 and 4: the chain (4,) to
-        # 1|2|34 is lost.
-        lattice = self.relabelled(Transposition(1, 2))
-        with pytest.raises(RuntimeError, match="Mobius mismatch at 1\\|2\\|34"):
+    def test_mislabelled_cover_is_caught(self, monkeypatch):
+        # With H_4 read as (1 2), no hyperplane joins 3 and 4: only the
+        # chain (2, 3) reaches 134|2, whose interval has |mu| = 2.
+        lattice = self.relabelled(monkeypatch, Transposition(1, 2))
+        with pytest.raises(RuntimeError, match=r"Mobius mismatch at 134\|2: 2 .* 1 "):
             mobius_values(lattice)
 
-    def test_top_outside_the_lattice_is_caught(self):
-        # With H_4 read as (2 3), the chain (3, 4) ends at 14|23, which the
+    def test_top_outside_the_lattice_is_caught(self, monkeypatch):
+        # With H_4 read as (2 3), the chain (4,) ends at 1|23|4, which the
         # inversion graph of 4132 does not connect.
-        lattice = self.relabelled(Transposition(2, 3))
-        with pytest.raises(RuntimeError, match=r"chain top 14\|23 is not an element"):
+        lattice = self.relabelled(monkeypatch, Transposition(2, 3))
+        with pytest.raises(RuntimeError, match=r"Mobius mismatch at 1\|23\|4: 0 .* 1 "):
             mobius_values(lattice)
+
+    def test_cover_that_tops_no_chain_is_caught(self, monkeypatch):
+        # A walk that loses the chains ending at 134|2 leaves out an element
+        # that 1|2|34, 13|2|4 and 14|2|3 all cover.
+        real = invlat.lattice._chain_walk
+
+        def lossy(n, hyperplanes):
+            return (c for c in real(n, hyperplanes) if c[2] != (0b1101, 0b0010))
+
+        monkeypatch.setattr(invlat.lattice, "_chain_walk", lossy)
+        with pytest.raises(RuntimeError, match=r"134\|2 covers 1\|2\|34 but tops no"):
+            build_lattice(W4132, (1, 2, 3, 2))
 
     def test_computed_once_and_read_only(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))

@@ -34,21 +34,25 @@ GOLDEN_TABLE = {
 }
 
 
+def golden_table():
+    return phi_table(build_lattice(W4132, (1, 2, 3, 2)))
+
+
 class TestPhi:
     def test_empty_chain_maps_to_w(self):
-        entry = phi_table(W4132, (1, 2, 3, 2))[0]
+        entry = golden_table()[0]
         assert entry.labels == ()
-        assert entry.top == (1, 2, 4, 8)
+        assert entry.top == 0
         assert entry.product.is_identity()
         assert entry.image == W4132
 
     def test_golden_table(self):
-        table = phi_table(W4132, (1, 2, 3, 2))
+        table = golden_table()
         got = {entry.labels: str(entry.image) for entry in table}
         assert got == GOLDEN_TABLE
 
     def test_specific_chain(self):
-        table = phi_table(W4132, (1, 2, 3, 2))
+        table = golden_table()
         by_labels = {entry.labels: entry for entry in table}
         entry = by_labels[(1, 2, 4)]
         assert str(entry.image) == "1243"
@@ -58,7 +62,7 @@ class TestPhi:
         corrupt_second_hyperplane(monkeypatch)
         message = r"3412 of the chain \(1, 2\) is not below 4132"
         with pytest.raises(RuntimeError, match=message):
-            phi_table(W4132, (1, 2, 3, 2))
+            golden_table()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_oracle_exhaustive(self, n):
@@ -76,15 +80,17 @@ class TestPhi:
         # The table raises on an image not below w; the chain length and
         # the orbits hold by construction.
         for w in all_perms(n):
-            for entry in phi_table(w):
+            lattice = build_lattice(w)
+            for entry in phi_table(lattice):
+                top = lattice.elements[entry.top]
                 assert entry.image == entry.product * w
-                assert w.n - len(entry.top) == len(entry.labels)
-                assert canon(entry.product.cycles()) == blocks_of(entry.top)
+                assert w.n - len(top) == len(entry.labels)
+                assert canon(entry.product.cycles()) == blocks_of(top)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_length_drop_parity(self, n):
         for w in all_perms(n):
-            for entry in phi_table(w):
+            for entry in phi_table(build_lattice(w)):
                 drop = w.length() - entry.image.length()
                 m = len(entry.labels)
                 assert drop >= m
@@ -98,7 +104,7 @@ def assert_matches_oracle(w: Permutation) -> None:
     lattice = build_lattice(w)
     chains = decreasing_chains(lattice)
     expected = [phi(path, labels, w, lattice) for path, labels in chains]
-    assert phi_table(w) == expected
+    assert phi_table(lattice) == expected
 
 
 def injective(w: Permutation, expression=None) -> bool:
@@ -133,8 +139,8 @@ class TestInjectivity:
 
     def test_shared_image_is_reported(self, monkeypatch):
         # The chain (1,) listed a second time shares its image.
-        def walk_twice(w, expression=None):
-            rows = list(invlat.phimap._images(w, expression))
+        def walk_twice(w, chains):
+            rows = list(invlat.phimap._images(w, chains))
             return rows + rows[1:2]
 
         monkeypatch.setattr(invlat.verify, "_images", walk_twice)
@@ -167,7 +173,7 @@ class TestSurjectivity:
             assert ok == (not missed)
             # Distinct images below w fill [e, w] exactly when there are
             # br(w) of them: the count the check tests.
-            image_size = len(phi_table(w))
+            image_size = len(phi_table(build_lattice(w)))
             assert ok == (image_size == interval_size(w))
             assert image_size + len(missed) == len(interval(w))
 
@@ -202,7 +208,7 @@ class TestGoingDown:
 
     def test_distances_equal_chain_length(self):
         dist = distances_from(W4132)
-        for entry in phi_table(W4132, (1, 2, 3, 2)):
+        for entry in golden_table():
             assert dist[entry.image.word] == len(entry.labels)
 
     def test_failed_descent_is_reported(self, monkeypatch):
