@@ -13,7 +13,6 @@ from invlat.chromatic import (
     betti_numbers,
     chromatic_identity_holds,
     chromatic_of,
-    chromatic_polynomial,
     distance_poly,
     opy_chromatic,
 )
@@ -40,11 +39,7 @@ from invlat.permutation import (
     reduced_expression,
     reflection_sequence,
 )
-from invlat.phimap import (
-    PhiImage,
-    phi_table,
-    verify_characterization,
-)
+from invlat.phimap import PhiImage, phi_table
 
 __version__ = "0.1.0"
 
@@ -63,7 +58,6 @@ __all__ = [
     "build_lattice",
     "chromatic_identity_holds",
     "chromatic_of",
-    "chromatic_polynomial",
     "contains",
     "distance_poly",
     "find_reduction_pair",
@@ -79,6 +73,5 @@ __all__ = [
     "reduced_expression",
     "reduction_step",
     "reflection_sequence",
-    "verify_characterization",
     "witness_below",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import types
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from invlat.permutation import Permutation
 
@@ -98,6 +98,18 @@ def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:
     return grown
 
 
+def _prefix_count(
+    n: int, keeps: Iterable[Callable[[int], bool]], width: int = 0
+) -> int:
+    """The words of S_n whose first i values form a set that ``keeps[i - 1]``
+    accepts, for every i, counted by the prefix-set DP; ``width`` as in
+    ``_grow`` (0 for plain counts, > 0 for counts packed by length)."""
+    level = {0: 1}
+    for keep in keeps:
+        level = {s: c for s, c in _grow(level, n, width).items() if keep(s)}
+    return sum(level.values())
+
+
 def _dominated_sets(top: int, n: int) -> frozenset[int]:
     """Every set of |top| values, as a bitmask, that ``top`` dominates.
 
@@ -119,19 +131,18 @@ def interval_length_counts(w: Permutation) -> tuple[int, ...]:
 
     The DP walks the value sets of u's prefixes, i values at a time,
     keeping those that w's prefix of length i dominates (``_dominated_sets``),
-    in O(n 2^n) steps.  Each set's length counts are packed into one integer
-    (``_grow``), so appending a value is a shift and merging prefixes is an
-    addition.
+    in O(n 2^n) steps (``_prefix_count``).  Each set's length counts are
+    packed into one integer (``_grow``), so appending a value is a shift and
+    merging prefixes is an addition.
     """
     n = w.n
     width = math.factorial(n).bit_length()  # no count exceeds n!
-    level = {0: 1}
+    keeps = []
     top = 0
     for value in w.word:
         top |= 1 << (value - 1)
-        keep = _dominated_sets(top, n)
-        level = {t: c for t, c in _grow(level, n, width).items() if t in keep}
-    packed = level[(1 << n) - 1]
+        keeps.append(_dominated_sets(top, n).__contains__)
+    packed = _prefix_count(n, keeps, width)
     field = (1 << width) - 1
     return tuple((packed >> (width * k)) & field for k in range(w.length() + 1))
 

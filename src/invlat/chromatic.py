@@ -179,26 +179,13 @@ def _word_of(g: InversionGraph) -> tuple[int, ...]:
     return word
 
 
-def _chromatic_of_word(word: Sequence[int]) -> IntPoly:
+def chromatic_of(w: Permutation) -> IntPoly:
+    """Chromatic polynomial of w's inversion graph, by the colouring DP."""
     # chi(t) is the sum over j of (colourings with j classes) t(t-1)...(t-j+1).
     return sum(
-        (IntPoly.from_roots(range(j)) * a for j, a in enumerate(_class_counts(word))),
+        (IntPoly.from_roots(range(j)) * a for j, a in enumerate(_class_counts(w.word))),
         IntPoly(),
     )
-
-
-def chromatic_polynomial(g: InversionGraph) -> IntPoly:
-    """Chromatic polynomial of the inversion graph, by the colouring DP on
-    the word the graph recovers (``_word_of``).
-
-    Monic of degree n with alternating-sign coefficients.  Raises ValueError
-    for a labelled graph that is no permutation's inversion graph.
-    """
-    return _chromatic_of_word(_word_of(g))
-
-
-def chromatic_of(w: Permutation) -> IntPoly:
-    return _chromatic_of_word(w.word)
 
 
 def acyclic_orientations(g: InversionGraph) -> int:

@@ -160,7 +160,6 @@ class IntersectionLattice:
         n = w.n
         self.w = w
         self.hyperplanes = _hyperplanes(w, expression)
-        self._mobius: Optional[tuple[int, ...]] = None
         chains = list(_chain_walk(n, self.hyperplanes))
         self.elements: tuple[tuple[int, ...], ...] = tuple(
             sorted(
@@ -219,11 +218,8 @@ def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
     polynomial of the induced graph G[B]; each block's factor is computed
     once.  The count of decreasing chains ending at x, read off
     ``lattice.chains``, must agree; a mismatch means the lattice or its
-    labelling is built wrongly.  The values are computed once per lattice
-    and shared by later calls.
+    labelling is built wrongly.
     """
-    if lattice._mobius is not None:
-        return lattice._mobius
     n = lattice.w.n
     word = lattice.w.word
     block_values: dict[int, int] = {}
@@ -254,5 +250,4 @@ def mobius_values(lattice: IntersectionLattice) -> tuple[int, ...]:
                 "construction bug"
             )
         out.append(value)
-    lattice._mobius = tuple(out)
-    return lattice._mobius
+    return tuple(out)

@@ -1,6 +1,6 @@
 """The injection from label-decreasing lattice chains into the Bruhat
 interval, read off the chains with one value swap per chain, and the
-distance characterization check.
+elements of the interval it misses.
 
 ``phi_table`` maps the chains a lattice keeps; ``verify``'s chain checks
 map the chain walk as it streams, with no lattice, through the same
@@ -14,7 +14,6 @@ from typing import Container, Iterable, Iterator
 
 from invlat.bruhat import _word_leq, distances_from
 from invlat.lattice import IntersectionLattice
-from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, format_one_line
 
 
@@ -67,19 +66,3 @@ def missed_elements(
     """The elements of [e, w] whose words are not in ``images``, sorted."""
     missed = sorted(u for u in distances_from(w) if u not in images)
     return tuple(map(Permutation._trusted, missed))
-
-
-def verify_characterization(w: Permutation) -> bool:
-    """Distance equals absolute length below w iff w avoids the patterns.
-
-    Checks the biconditional: (for all u < w, the directed distance from u
-    to w equals the absolute length of u w^-1) holds exactly when w is
-    four-pattern avoiding.
-    """
-    winv = w.inverse()
-    dist = distances_from(w)
-    equal_everywhere = all(
-        d == (Permutation(word) * winv).absolute_length()
-        for word, d in dist.items()
-    )
-    return equal_everywhere == is_chromobruhatic(w)

@@ -1,8 +1,9 @@
 """Exhaustive desk-scale verification checks over all of S_n.
 
-Each check scans the whole symmetric group in lexicographic order and
-reports counterexamples.  Each check computes its per-permutation data once,
-for the failure test and the payload counters together.  The count-only
+``CHECKS`` holds each check's largest n and its scan.  A scan walks S_n in
+lexicographic order and yields, for each w, a counterexample or None and
+the payload counts of w, both from one computation of w's data, and
+``run_check`` collects them in one loop.  The count-only
 sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
 ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
 that carries the prefix-set DP for br and the colouring DP for ao side by
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -26,8 +27,10 @@ from invlat.bruhat import (
     _bubble_rows,
     _dominated_sets,
     _grow,
+    _prefix_count,
     _word_leq,
     bruhat_leq,
+    distances_from,
     interval_length_counts,
     interval_size,
     two_sided_weak_covers,
@@ -56,29 +59,12 @@ from invlat.permutation import (
     format_one_line,
     reduced_expression,
 )
-from invlat.phimap import _images, missed_elements, verify_characterization
+from invlat.phimap import _images, missed_elements
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
-# Largest n each check accepts; interval-heavy checks stop earlier than the
-# count-only conjecture sweeps.
-CHECK_CEILINGS = {
-    "conjectureA": 8,
-    "conjectureB": 8,
-    "phi-injective": 6,
-    "phi-surjective-iff": 6,
-    "going-down": 6,
-    "characterization": 6,
-    "betti": 6,
-    "chromatic-identity": 6,
-    "opy": 8,
-    "recurrences": 7,
-    "hull-vs-standard": 6,
-    "weak-chain": 7,
-}
-
-# phi-injective over every reduced expression is exponential in n.
-ALL_EXPR_CEILING = 4
+# A scan yields (failure or None, payload counts) per permutation, in order.
+_Outcomes = Iterable[tuple[Optional[dict[str, Any]], dict[str, int]]]
 
 
 @dataclass
@@ -114,36 +100,6 @@ class Report:
             f"{status} {self.check} n={self.n} population={self.population} "
             f"({self.elapsed_s:.2f}s)"
         )
-
-
-@dataclass
-class _Scan:
-    """Per-permutation results plus commutative payload counters."""
-
-    failures: list[dict[str, Any]] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + amount
-
-
-def _scan(results: Iterable[tuple[Optional[dict], dict[str, int]]]) -> _Scan:
-    """Collect ``(failure or None, payload counts)`` pairs, in order."""
-    scan = _Scan()
-    for failure, counts in results:
-        if failure is not None:
-            scan.failures.append(failure)
-        for key, amount in counts.items():
-            scan.bump(key, amount)
-    return scan
-
-
-def _run_per_w(
-    n: int,
-    one: Callable[[Permutation], tuple[Optional[dict], dict[str, int]]],
-) -> _Scan:
-    """Scan S_n with ``one(w) -> (failure or None, payload counts)``."""
-    return _scan(map(one, all_permutations(n)))
 
 
 def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -187,17 +143,17 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     yield from walk((), 0, {0: 1}, {0: 1})
 
 
-def _check_conjecture_a(n: int, options: dict) -> _Scan:
+def _check_conjecture_a(n: int, expr: str) -> _Outcomes:
     def one(word, br, re):
         failure = None
         if re > br:
             failure = {"w": str(Permutation(word)), "re": re, "br": br}
         return failure, {"equal": int(re == br)}
 
-    return _scan(starmap(one, _count_walk(n)))
+    return starmap(one, _count_walk(n))
 
 
-def _check_conjecture_b(n: int, options: dict) -> _Scan:
+def _check_conjecture_b(n: int, expr: str) -> _Outcomes:
     def one(word, br, re):
         w = Permutation(word)
         avoiding = is_chromobruhatic(w)
@@ -206,7 +162,7 @@ def _check_conjecture_b(n: int, options: dict) -> _Scan:
             failure = {"w": str(w), "re": re, "br": br, "avoiding": avoiding}
         return failure, {"avoiding": int(avoiding)}
 
-    return _scan(starmap(one, _count_walk(n)))
+    return starmap(one, _count_walk(n))
 
 
 def _phi_images(
@@ -236,22 +192,21 @@ def _phi_images(
     return None, images
 
 
-def _check_phi_injective(n: int, options: dict) -> _Scan:
-    expr_mode = options.get("expr", "canonical")
+def _check_phi_injective(n: int, expr: str) -> _Outcomes:
+    canonical = expr == "canonical"
 
-    def failure(w: Permutation):
-        canonical = expr_mode == "canonical"
-        for expr in [None] if canonical else all_reduced_expressions(w):
-            found, _ = _phi_images(w, expr)
+    def one(w: Permutation):
+        for expression in [None] if canonical else all_reduced_expressions(w):
+            found, _ = _phi_images(w, expression)
             if found is not None:
-                found["expression"] = "canonical" if canonical else list(expr)
-                return found
-        return None
+                found["expression"] = "canonical" if canonical else list(expression)
+                return found, {}
+        return None, {}
 
-    return _run_per_w(n, lambda w: (failure(w), {}))
+    return map(one, all_permutations(n))
 
 
-def _check_phi_surjective_iff(n: int, options: dict) -> _Scan:
+def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
     """The chain map is onto [e, w] exactly when w avoids the four patterns.
 
     The images are checked to be distinct and below w, so they fill [e, w]
@@ -276,7 +231,7 @@ def _check_phi_surjective_iff(n: int, options: dict) -> _Scan:
                 }
         return found, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, one)
+    return map(one, all_permutations(n))
 
 
 def _going_down_failure(w: Permutation) -> Optional[dict]:
@@ -306,17 +261,27 @@ def _going_down_failure(w: Permutation) -> Optional[dict]:
     return None
 
 
-def _check_going_down(n: int, options: dict) -> _Scan:
-    return _run_per_w(n, lambda w: (_going_down_failure(w), {}))
+def _check_going_down(n: int, expr: str) -> _Outcomes:
+    return map(lambda w: (_going_down_failure(w), {}), all_permutations(n))
 
 
-def _check_characterization(n: int, options: dict) -> _Scan:
-    def failure(w: Permutation):
-        if not verify_characterization(w):
-            return {"w": str(w), "avoiding": is_chromobruhatic(w)}
-        return None
+def _check_characterization(n: int, expr: str) -> _Outcomes:
+    """For every u <= w, the directed distance from u to w equals the
+    absolute length of u w^-1 exactly when w avoids the four patterns."""
 
-    return _run_per_w(n, lambda w: (failure(w), {}))
+    def one(w: Permutation):
+        winv = w.inverse()
+        equal_everywhere = all(
+            d == (Permutation(word) * winv).absolute_length()
+            for word, d in distances_from(w).items()
+        )
+        avoiding = is_chromobruhatic(w)
+        failure = None
+        if equal_everywhere != avoiding:
+            failure = {"w": str(w), "avoiding": avoiding}
+        return failure, {}
+
+    return map(one, all_permutations(n))
 
 
 def _betti_failures(w: Permutation) -> Optional[dict]:
@@ -343,27 +308,28 @@ def _betti_failures(w: Permutation) -> Optional[dict]:
     return None
 
 
-def _check_betti(n: int, options: dict) -> _Scan:
+def _check_betti(n: int, expr: str) -> _Outcomes:
     def one(w: Permutation):
         avoiding = is_chromobruhatic(w)
         failure = _betti_failures(w) if avoiding else None
         return failure, {"avoiding": int(avoiding)}
 
-    return _run_per_w(n, one)
+    return map(one, all_permutations(n))
 
 
-def _check_chromatic_identity(n: int, options: dict) -> _Scan:
-    def failure(w: Permutation):
+def _check_chromatic_identity(n: int, expr: str) -> _Outcomes:
+    def one(w: Permutation):
         holds = chromatic_identity_holds(w)
         avoiding = is_chromobruhatic(w)
+        failure = None
         if holds != avoiding:
-            return {"w": str(w), "identity": holds, "avoiding": avoiding}
-        return None
+            failure = {"w": str(w), "identity": holds, "avoiding": avoiding}
+        return failure, {}
 
-    return _run_per_w(n, lambda w: (failure(w), {}))
+    return map(one, all_permutations(n))
 
 
-def _check_opy(n: int, options: dict) -> _Scan:
+def _check_opy(n: int, expr: str) -> _Outcomes:
     def one(w: Permutation):
         if not is_smooth(w):
             return None, {"smooth": 0}
@@ -378,7 +344,7 @@ def _check_opy(n: int, options: dict) -> _Scan:
             }
         return failure, {"smooth": 1}
 
-    return _run_per_w(n, one)
+    return map(one, all_permutations(n))
 
 
 def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
@@ -442,7 +408,7 @@ def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
     return None
 
 
-def _check_recurrences(n: int, options: dict) -> _Scan:
+def _check_recurrences(n: int, expr: str) -> _Outcomes:
     # (br, ao) of every word of S_n, S_(n-1) and S_(n-2).
     tables = {
         m: {word: (br, ao) for word, br, ao in _count_walk(m)}
@@ -456,17 +422,7 @@ def _check_recurrences(n: int, options: dict) -> _Scan:
         counts = {} if found is None else {found[2].kind: 1}
         return _recurrence_failures(w, found, tables), counts
 
-    return _run_per_w(n, one)
-
-
-def _prefix_count(n: int, keeps: Iterable[Callable[[int], bool]]) -> int:
-    """The number of words of S_n whose first i values form a set that
-    ``keeps[i - 1]`` accepts, for every i: the prefix-set DP of
-    ``interval_length_counts`` with plain counts and any filter."""
-    level = {0: 1}
-    for keep in keeps:
-        level = {s: c for s, c in _grow(level, n, 0).items() if keep(s)}
-    return sum(level.values())
+    return map(one, all_permutations(n))
 
 
 def _hull_counts(
@@ -502,7 +458,7 @@ def _hull_counts(
     return tuple(_prefix_count(n, keeps) for keeps in (ehresmann, bubble, hull))
 
 
-def _check_hull_vs_standard(n: int, options: dict) -> _Scan:
+def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
     """The bubble test and Sjöstrand's right-hull criterion, as counts.
 
     The bubbles are a subset of the rank squares, so the bubble test
@@ -512,23 +468,24 @@ def _check_hull_vs_standard(n: int, options: dict) -> _Scan:
     """
     dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
-    def failure(w: Permutation):
+    def one(w: Permutation):
         br, bubble, hull = _hull_counts(w, dominated)
         avoiding = is_chromobruhatic(w)
+        failure = None
         if bubble != br or hull < br or (hull == br) != avoiding:
-            return {
+            failure = {
                 "w": str(w),
                 "br": br,
                 "bubble": bubble,
                 "hull": hull,
                 "avoiding": avoiding,
             }
-        return None
+        return failure, {}
 
-    return _run_per_w(n, lambda w: (failure(w), {}))
+    return map(one, all_permutations(n))
 
 
-def _check_weak_chain(n: int, options: dict) -> _Scan:
+def _check_weak_chain(n: int, expr: str) -> _Outcomes:
     chromo = [w for w in all_permutations(n) if is_chromobruhatic(w)]
     chromo_words = {w.word for w in chromo}
     reachable: set[tuple[int, ...]] = {Permutation.identity(n).word}
@@ -546,23 +503,28 @@ def _check_weak_chain(n: int, options: dict) -> _Scan:
         failure = {"w": str(w)} if chromo and w.word not in reachable else None
         return failure, {"chromobruhatic": int(chromo)}
 
-    return _run_per_w(n, one)
+    return map(one, all_permutations(n))
 
 
-CHECKS: dict[str, Callable[[int, dict], _Scan]] = {
-    "conjectureA": _check_conjecture_a,
-    "conjectureB": _check_conjecture_b,
-    "phi-injective": _check_phi_injective,
-    "phi-surjective-iff": _check_phi_surjective_iff,
-    "going-down": _check_going_down,
-    "characterization": _check_characterization,
-    "betti": _check_betti,
-    "chromatic-identity": _check_chromatic_identity,
-    "opy": _check_opy,
-    "recurrences": _check_recurrences,
-    "hull-vs-standard": _check_hull_vs_standard,
-    "weak-chain": _check_weak_chain,
+# Each check's largest n and its scan; interval-heavy checks stop earlier
+# than the count-only conjecture sweeps.
+CHECKS: dict[str, tuple[int, Callable[[int, str], _Outcomes]]] = {
+    "conjectureA": (8, _check_conjecture_a),
+    "conjectureB": (8, _check_conjecture_b),
+    "phi-injective": (6, _check_phi_injective),
+    "phi-surjective-iff": (6, _check_phi_surjective_iff),
+    "going-down": (6, _check_going_down),
+    "characterization": (6, _check_characterization),
+    "betti": (6, _check_betti),
+    "chromatic-identity": (6, _check_chromatic_identity),
+    "opy": (8, _check_opy),
+    "recurrences": (7, _check_recurrences),
+    "hull-vs-standard": (6, _check_hull_vs_standard),
+    "weak-chain": (7, _check_weak_chain),
 }
+
+# phi-injective over every reduced expression is exponential in n.
+ALL_EXPR_CEILING = 4
 
 
 def run_check(
@@ -573,14 +535,18 @@ def run_check(
 ) -> Report:
     """Run one named check over all of S_n and wrap the outcome in a Report.
 
-    ``cap`` bounds the counterexample list (None keeps everything); the
-    population size and payload are unaffected by it.
+    ``expr`` is "canonical" (the canonical reduced expression) or "all"
+    (every reduced expression, phi-injective only).  ``cap`` bounds the
+    counterexample list (None keeps everything); the population size and
+    payload are unaffected by it.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; options: {sorted(CHECKS)}")
+    if expr not in ("canonical", "all"):
+        raise ValueError(f"expr must be 'canonical' or 'all', got {expr!r}")
     if cap is not None and cap < 0:
         raise ValueError(f"the counterexample cap must be >= 0, got {cap}")
-    ceiling = CHECK_CEILINGS[check]
+    ceiling, scan = CHECKS[check]
     if expr == "all":
         if check != "phi-injective":
             raise ValueError("--expr all applies only to phi-injective")
@@ -588,11 +554,16 @@ def run_check(
     if not 1 <= n <= ceiling:
         raise ValueError(f"check {check!r} accepts 1 <= n <= {ceiling}, got {n}")
     started = time.perf_counter()
-    scan = CHECKS[check](n, {"expr": expr})
+    failures = []
+    counts: dict[str, int] = {}
+    for failure, found in scan(n, expr):
+        if failure is not None:
+            failures.append(failure)
+        for key, amount in found.items():
+            counts[key] = counts.get(key, 0) + amount
     elapsed = time.perf_counter() - started
-    failures = scan.failures
     truncated = cap is not None and len(failures) > cap
-    payload = dict(sorted(scan.counts.items()))
+    payload = dict(sorted(counts.items()))
     payload["failure_count"] = len(failures)
     if expr != "canonical":
         payload["expression_mode"] = expr

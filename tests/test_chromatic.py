@@ -7,7 +7,6 @@ from invlat.chromatic import (
     chi_distance_transform,
     chromatic_identity_holds,
     chromatic_of,
-    chromatic_polynomial,
     distance_poly,
     opy_chromatic,
 )
@@ -89,15 +88,13 @@ class TestChromaticPolynomial:
         for w in all_perms(n):
             g = InversionGraph.of(w)
             assert _word_of(g) == w.word
-            assert chromatic_polynomial(g) == chromatic_of(w)
 
     def test_non_inversion_graph_raises(self):
         # The labelled 4-cycle 1-2-3-4-1 is the inversion graph of no
         # permutation (3412 gives the 4-cycle 1-3-2-4-1).
         cycle = InversionGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        for read in (chromatic_polynomial, acyclic_orientations):
-            with pytest.raises(ValueError, match="not the inversion graph"):
-                read(cycle)
+        with pytest.raises(ValueError, match="not the inversion graph"):
+            acyclic_orientations(cycle)
 
 
 class TestAcyclicOrientations:

@@ -178,12 +178,10 @@ class TestVerifyCommand:
         assert "accepts" in err
 
     def test_failure_exit_1(self, capsys, monkeypatch):
-        def failing_check(n, options):
-            scan = verify._Scan()
-            scan.failures = [{"w": "none"}]
-            return scan
+        def failing_scan(n, expr):
+            return [({"w": "none"}, {})]
 
-        monkeypatch.setitem(verify.CHECKS, "conjectureA", failing_check)
+        monkeypatch.setitem(verify.CHECKS, "conjectureA", (8, failing_scan))
         code, out, _ = run_cli(capsys, "verify", "--check", "conjectureA", "--n", "3")
         assert code == 1
         assert out.startswith("FAIL")

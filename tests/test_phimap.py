@@ -9,7 +9,7 @@ from invlat.bruhat import bruhat_leq, distances_from, interval_size
 from invlat.lattice import build_lattice
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, all_reduced_expressions
-from invlat.phimap import missed_elements, phi_table, verify_characterization
+from invlat.phimap import missed_elements, phi_table
 from invlat.verify import _going_down_failure, _phi_images
 from lattice_oracle import blocks_of, canon, decreasing_chains
 from phi_oracle import going_down, phi
@@ -223,19 +223,29 @@ class TestGoingDown:
 
 
 class TestCharacterization:
-    def test_identity(self):
-        assert verify_characterization(Permutation.identity(3))
+    """The characterization check: distance equals absolute length below w
+    iff w avoids the four patterns."""
 
-    def test_4231_biconditional(self):
+    def test_identity(self):
+        _, scan = invlat.verify.CHECKS["characterization"]
+        outcomes = scan(3, "canonical")
+        assert next(iter(outcomes)) == (None, {})
+
+    def test_4231_biconditional(self, monkeypatch):
         # The equality fails at u = 1324 while 4231 contains a pattern,
         # so the biconditional itself holds.
         u = Permutation((1, 3, 2, 4))
         dist = distances_from(W4231)
         assert dist[u.word] == 4
         assert (u * W4231.inverse()).absolute_length() == 2
-        assert verify_characterization(W4231)
+        assert invlat.verify.run_check("characterization", 4).passed
+        # Were every w taken for an avoider, 4231 alone would break it, and
+        # its counterexample carries the avoidance the check computed.
+        monkeypatch.setattr(invlat.verify, "is_chromobruhatic", lambda w: True)
+        report = invlat.verify.run_check("characterization", 4)
+        assert report.counterexamples == [{"w": "4231", "avoiding": True}]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exhaustive(self, n):
-        for w in all_perms(n):
-            assert verify_characterization(w)
+        report = invlat.verify.run_check("characterization", n)
+        assert report.passed and report.population == len(all_perms(n))

@@ -1,4 +1,6 @@
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,14 @@ class TestRunCheck:
             verify.run_check("conjectureA", 3, expr="all")
         with pytest.raises(ValueError, match="accepts"):
             verify.run_check("phi-injective", 5, expr="all")
+
+    def test_expr_is_canonical_or_all(self):
+        # Any other value is refused before the scan, so it can neither
+        # slip past ALL_EXPR_CEILING nor land in the payload.
+        with pytest.raises(ValueError, match="expr must be"):
+            verify.run_check("conjectureA", 3, expr="bogus")
+        with pytest.raises(ValueError, match="expr must be"):
+            verify.run_check("phi-injective", 6, expr="All")
 
     def test_jobs_and_cap_bounds(self):
         with pytest.raises(ValueError, match="cap"):
@@ -155,13 +165,10 @@ class TestRunCheck:
         assert a == b
 
     def test_counterexample_cap(self, monkeypatch):
-        def failing_check(n, options):
-            scan = verify._Scan()
-            scan.failures = [{"w": str(i)} for i in range(25)]
-            return scan
+        def failing_scan(n, expr):
+            return (({"w": str(i)}, {}) for i in range(25))
 
-        monkeypatch.setitem(verify.CHECKS, "synthetic", failing_check)
-        monkeypatch.setitem(verify.CHECK_CEILINGS, "synthetic", 4)
+        monkeypatch.setitem(verify.CHECKS, "synthetic", (4, failing_scan))
         report = verify.run_check("synthetic", 3)
         assert not report.passed
         assert len(report.counterexamples) == verify.DEFAULT_COUNTEREXAMPLE_CAP
@@ -209,6 +216,19 @@ class TestRunCheck:
     def test_summary_line(self):
         report = verify.run_check("weak-chain", 3)
         assert report.summary().startswith("PASS weak-chain n=3")
+
+    def test_readme_ceilings_match_checks(self):
+        # The "max n" column of the README's check table, with
+        # phi-injective's "--expr all" ceiling in parentheses.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = r"^\| `([\w-]+)` .*\| (\d+)(?: \((\d+)\))? \|$"
+        rows = re.findall(row, readme, re.M)
+        assert {name: int(n) for name, n, _ in rows} == {
+            name: ceiling for name, (ceiling, _) in verify.CHECKS.items()
+        }
+        assert {name: int(n) for name, _, n in rows if n} == {
+            "phi-injective": verify.ALL_EXPR_CEILING
+        }
 
 
 class TestBettiFailures:
