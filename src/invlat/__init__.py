@@ -39,7 +39,6 @@ from invlat.permutation import (
     reduced_expression,
     reflection_sequence,
 )
-from invlat.phimap import PhiImage, phi_table
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "IntersectionLattice",
     "InversionGraph",
     "Permutation",
-    "PhiImage",
     "Transposition",
     "acyclic_orientations",
     "all_permutations",
@@ -68,7 +66,6 @@ __all__ = [
     "opy_chromatic",
     "parse_permutation",
     "partition_text",
-    "phi_table",
     "rank_matrix",
     "reduced_expression",
     "reduction_step",

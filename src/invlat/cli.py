@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from invlat import golden as golden_mod
 from invlat import verify as verify_mod
-from invlat.bruhat import distances_from, interval_size
+from invlat.bruhat import _word_leq, distances_from, interval_size
 from invlat.chromatic import (
     betti_numbers,
     chi_distance_transform,
@@ -34,25 +34,51 @@ from invlat.patterns import (
 )
 from invlat.permutation import (
     Permutation,
+    format_one_line,
     opy_exponents,
     parse_permutation,
     record_positions,
     reduced_expression,
 )
-from invlat.phimap import missed_elements, phi_table
+from invlat.phimap import missed_elements
 
 
 def analyze(w: Permutation) -> dict[str, Any]:
     """Everything this package knows about one permutation, as a JSON-ready
     dict with pinned key order.
 
-    The lattice walks the decreasing chains once and keeps them, with each
-    chain's top as an element index; the chain map and the Mobius
-    cross-check both read those chains.
+    The lattice walks the decreasing chains once and keeps them, each with
+    its image under the chain map and its top as an element index; the phi
+    table and the Mobius cross-check both read those chains.  Each image
+    is tested against w's bubbles as a word and raises when it is not
+    below w, as a labelling bug.
     """
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
-    table = phi_table(lattice)
+    names = [partition_text(w.n, x) for x in lattice.elements]
+    # The chains are in depth-first preorder, so a chain of length m extends
+    # the first m + 1 elements of the last chain of length m - 1.  A chain
+    # C's product p(C) is its image times w^-1.
+    w_inverse = w.inverse().word
+    rows, images, path = [], set(), []
+    for labels, image, top in lattice.chains:
+        if not _word_leq(image, w):
+            raise RuntimeError(
+                f"phi image {format_one_line(image)} of the chain {labels} "
+                f"is not below {w}"
+            )
+        images.add(image)
+        del path[len(labels) :]
+        path.append(names[top])
+        product = Permutation._trusted(tuple(w_inverse[v - 1] for v in image))
+        rows.append(
+            {
+                "labels": list(labels),
+                "chain": list(path),
+                "product": product.cycle_string(),
+                "image": format_one_line(image),
+            }
+        )
     mu = mobius_values(lattice)
     re = sum(mu)
     chi = chromatic_of(w)
@@ -61,18 +87,9 @@ def analyze(w: Permutation) -> dict[str, Any]:
     br = interval_size(w)
     smooth = is_smooth(w)
     avoiding = is_chromobruhatic(w)
-    images = {entry.image.word for entry in table}
-    injective = len(images) == len(table)
+    injective = len(images) == len(rows)
     missed = missed_elements(w, images)
     surjective = not missed
-    names = [partition_text(w.n, x) for x in lattice.elements]
-    # The table is in depth-first preorder, so a chain of length m extends
-    # the first m + 1 elements of the last chain of length m - 1.
-    paths, path = [], []
-    for entry in table:
-        del path[len(entry.labels) :]
-        path.append(names[entry.top])
-        paths.append(list(path))
 
     report: dict[str, Any] = {
         "schema_version": 1,
@@ -106,15 +123,7 @@ def analyze(w: Permutation) -> dict[str, Any]:
             ],
             "mobius": dict(zip(names, mu)),
         },
-        "phi_table": [
-            {
-                "labels": list(entry.labels),
-                "chain": chain,
-                "product": entry.product.cycle_string(),
-                "image": str(entry.image),
-            }
-            for entry, chain in zip(table, paths)
-        ],
+        "phi_table": rows,
         "phi_injective": injective,
         "phi_surjective": surjective,
         "phi_missed": [str(u) for u in missed],

@@ -16,7 +16,8 @@ two blocks of an element gives one of its covers exactly when some
 inversion edge crosses them, and the cover's label is the largest
 hyperplane index among the crossing edges (``_merge_labeller``).
 ``_chain_walk`` follows that rule along the decreasing chains alone, with
-no lattice, and is the lattice's only enumeration: every element tops at
+no lattice, and yields each chain with its image under the chain map.  It
+is the lattice's only enumeration: every element tops at
 least one decreasing chain, so ``IntersectionLattice`` takes its elements
 from the chain tops and its covers from the same rule, and checks that the
 covers of the tops are tops.
@@ -95,44 +96,46 @@ def _merge_labeller(
 
 
 def _chain_walk(
-    n: int, hyperplanes: Sequence[Transposition]
+    w: Permutation, hyperplanes: Sequence[Transposition]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(labels, product word, blocks)`` for every label-decreasing
-    saturated chain from the bottom, every length included, in depth-first
-    preorder with the labels tried ascending: that is, lexicographically by
-    label sequence.
+    """Yield ``(labels, image word, blocks)`` for every label-decreasing
+    saturated chain C from the bottom, every length included, in
+    depth-first preorder with the labels tried ascending: that is,
+    lexicographically by label sequence.
 
     Decreasing in the hyperplane order H_1 > ... > H_k means the integer
     labels strictly increase.  Appending j to a chain is a cover exactly
     when t_j = (a b) joins two different blocks A and B of its top and j is
     the largest index of a hyperplane crossing A and B, the rule the
     lattice labels its covers by.  ``blocks`` is the chain's top as a
-    lattice element.  The product word is that of t_{j_1} ... t_{j_m}: each
-    label swaps the values a and b, which lie in different cycles, so the
-    cycles of the product are the blocks.
+    lattice element.  The image word is that of p(C) * w, where p(C) =
+    t_{j_1} ... t_{j_m}.  Each label swaps the values a and b of p(C), so
+    it swaps the values w(a) and w(b) of the image; a and b lie in
+    different cycles of p(C), so the cycles of p(C) are the blocks.
     """
+    n = w.n
     merge_label = _merge_labeller(n, hyperplanes)
-    steps = [(j, t.i, t.j) for j, t in enumerate(hyperplanes, 1)]
+    steps = [(j, a, b, w(a), w(b)) for j, (a, b) in enumerate(hyperplanes, 1)]
     tops: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # owner[v - 1] is the block of point v; listing the distinct blocks in
     # point order puts them in the element's order, by smallest point.
     # Chains with the same top share one tuple of it.
-    def grow(labels, word, owner, start):
+    def grow(labels, image, owner, start):
         blocks = tuple(dict.fromkeys(owner))
-        yield labels, word, tops.setdefault(blocks, blocks)
-        for j, a, b in steps[start:]:
+        yield labels, image, tops.setdefault(blocks, blocks)
+        for j, a, b, wa, wb in steps[start:]:
             block_a, block_b = owner[a - 1], owner[b - 1]
             if block_a != block_b and merge_label(block_a, block_b) == j:
                 merged = block_a | block_b
                 yield from grow(
                     labels + (j,),
-                    tuple(b if v == a else a if v == b else v for v in word),
+                    tuple(wb if v == wa else wa if v == wb else v for v in image),
                     tuple(merged if o & merged else o for o in owner),
                     j,
                 )
 
-    yield from grow((), tuple(range(1, n + 1)), tuple(1 << v for v in range(n)), 0)
+    yield from grow((), w.word, tuple(1 << v for v in range(n)), 0)
 
 
 class IntersectionLattice:
@@ -142,8 +145,9 @@ class IntersectionLattice:
     ``hyperplanes[i]`` is the transposition of H_{i+1}; hyperplane order is
     H_1 > H_2 > ... > H_k, so the label of a cover is the *largest* index
     among the hyperplanes first merged by it.  ``chains`` holds one
-    ``(labels, product word, top index)`` per decreasing chain, in label
-    order, as ``_chain_walk`` yields them.  ``elements`` holds the distinct
+    ``(labels, image word, top index)`` per decreasing chain C, in label
+    order, as ``_chain_walk`` yields them: the image is the chain map's
+    p(C) * w, which ``cli.analyze`` tests against w.  ``elements`` holds the distinct
     chain tops sorted by rank, then by their blocks' points, so the bottom
     is ``elements[0]``; ``covers_up[k]`` lists the sorted (index, label)
     pairs of the covers of ``elements[k]``.
@@ -160,7 +164,7 @@ class IntersectionLattice:
         n = w.n
         self.w = w
         self.hyperplanes = _hyperplanes(w, expression)
-        chains = list(_chain_walk(n, self.hyperplanes))
+        chains = list(_chain_walk(w, self.hyperplanes))
         self.elements: tuple[tuple[int, ...], ...] = tuple(
             sorted(
                 {top for _, _, top in chains},
@@ -169,7 +173,7 @@ class IntersectionLattice:
         )
         position = {x: k for k, x in enumerate(self.elements)}
         self.chains: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] = tuple(
-            (labels, word, position[top]) for labels, word, top in chains
+            (labels, image, position[top]) for labels, image, top in chains
         )
 
         # Blocks stay ordered by their smallest points: merging blocks i < j

@@ -1,5 +1,6 @@
 """The chain map one chain at a time, and the going-down check by
-breadth-first search, as oracles for ``phi_table`` and the chain checks.
+breadth-first search, as oracles for the chain walk's images and the
+chain checks.
 
 The chains come from the depth-first search along a built lattice's covers
 (``lattice_oracle.decreasing_chains``).  Each chain's product is rebuilt
@@ -13,7 +14,6 @@ from __future__ import annotations
 from invlat.bruhat import bruhat_leq, distances_from
 from invlat.lattice import IntersectionLattice, build_lattice
 from invlat.permutation import Permutation
-from invlat.phimap import PhiImage
 from lattice_oracle import blocks_of, canon, decreasing_chains
 
 
@@ -22,11 +22,12 @@ def phi(
     labels: tuple[int, ...],
     w: Permutation,
     lattice: IntersectionLattice,
-) -> PhiImage:
+) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Map the decreasing chain along ``path`` to p(C) * w where p(C)
-    multiplies the chain's labelled reflections left to right; raise when
-    the image is not below w, the absolute length of p(C) is not the chain
-    length, or the orbits of p(C) are not the blocks of the chain's top."""
+    multiplies the chain's labelled reflections left to right, and return
+    ``(labels, top index, image word)``; raise when the image is not below
+    w, the absolute length of p(C) is not the chain length, or the orbits
+    of p(C) are not the blocks of the chain's top."""
     word = list(range(1, w.n + 1))
     for j in labels:
         # Right-multiplying by (a b) swaps the values a and b.
@@ -47,7 +48,7 @@ def phi(
         raise RuntimeError(
             f"orbit partition {canon(cycles)} differs from chain top {blocks_of(top)}"
         )
-    return PhiImage(labels, path[-1], product, image)
+    return labels, path[-1], image.word
 
 
 def going_down(w: Permutation) -> bool:

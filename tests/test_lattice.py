@@ -106,22 +106,22 @@ class TestBuildLattice:
 
 def walk(lattice):
     """The chain walk over the lattice's own hyperplane order."""
-    return _chain_walk(lattice.w.n, lattice.hyperplanes)
+    return _chain_walk(lattice.w, lattice.hyperplanes)
 
 
 def assert_walk_matches_cover_dfs(lattice):
     """The walk, and the lattice's chains with their tops read as elements,
     give the chains that the depth-first search along ``covers_up`` finds,
-    in the same order, each with the product of its reflections and its
-    top element."""
+    in the same order, each with its image t_{j_1} ... t_{j_m} * w and its
+    top element.  (a b) * x swaps positions a and b of x, so the image
+    takes w through the labels from the last one back."""
     expected = []
     for path, labels in decreasing_chains(lattice):
-        word = list(range(1, lattice.w.n + 1))
-        for j in labels:
+        word = list(lattice.w.word)
+        for j in reversed(labels):
             a, b = lattice.hyperplanes[j - 1]
             word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
-        product = Permutation(word).inverse().word
-        expected.append((labels, product, lattice.elements[path[-1]]))
+        expected.append((labels, tuple(word), lattice.elements[path[-1]]))
     assert list(walk(lattice)) == expected
     kept = [(labels, word, lattice.elements[k]) for labels, word, k in lattice.chains]
     assert kept == expected
@@ -270,8 +270,8 @@ class TestMobiusAndBetti:
         # that 1|2|34, 13|2|4 and 14|2|3 all cover.
         real = invlat.lattice._chain_walk
 
-        def lossy(n, hyperplanes):
-            return (c for c in real(n, hyperplanes) if c[2] != (0b1101, 0b0010))
+        def lossy(w, hyperplanes):
+            return (c for c in real(w, hyperplanes) if c[2] != (0b1101, 0b0010))
 
         monkeypatch.setattr(invlat.lattice, "_chain_walk", lossy)
         with pytest.raises(RuntimeError, match=r"134\|2 covers 1\|2\|34 but tops no"):

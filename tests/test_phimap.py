@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-import invlat.phimap
 import invlat.verify
 from invlat.bruhat import bruhat_leq, distances_from, interval_size
+from invlat.cli import analyze
 from invlat.lattice import build_lattice
 from invlat.patterns import is_chromobruhatic
-from invlat.permutation import Permutation, all_reduced_expressions
-from invlat.phimap import missed_elements, phi_table
+from invlat.permutation import Permutation, all_reduced_expressions, format_one_line
+from invlat.phimap import missed_elements
 from invlat.verify import _going_down_failure, _phi_images
 from lattice_oracle import blocks_of, canon, decreasing_chains
 from phi_oracle import going_down, phi
@@ -34,35 +34,33 @@ GOLDEN_TABLE = {
 }
 
 
-def golden_table():
-    return phi_table(build_lattice(W4132, (1, 2, 3, 2)))
+def golden_chains():
+    """4132's chains ``(labels, image word, top index)``, in label order."""
+    return build_lattice(W4132, (1, 2, 3, 2)).chains
 
 
 class TestPhi:
     def test_empty_chain_maps_to_w(self):
-        entry = golden_table()[0]
-        assert entry.labels == ()
-        assert entry.top == 0
-        assert entry.product.is_identity()
-        assert entry.image == W4132
+        labels, image, top = golden_chains()[0]
+        assert labels == ()
+        assert top == 0
+        assert image == W4132.word
 
     def test_golden_table(self):
-        table = golden_table()
-        got = {entry.labels: str(entry.image) for entry in table}
+        got = {labels: format_one_line(image) for labels, image, _ in golden_chains()}
         assert got == GOLDEN_TABLE
 
     def test_specific_chain(self):
-        table = golden_table()
-        by_labels = {entry.labels: entry for entry in table}
-        entry = by_labels[(1, 2, 4)]
-        assert str(entry.image) == "1243"
-        assert entry.product.cycle_string() == "(1 2 4 3)"
+        by_labels = {labels: image for labels, image, _ in golden_chains()}
+        image = Permutation(by_labels[(1, 2, 4)])
+        assert str(image) == "1243"
+        assert (image * W4132.inverse()).cycle_string() == "(1 2 4 3)"
 
     def test_eager_checks_catch_bad_chains(self, monkeypatch):
         corrupt_second_hyperplane(monkeypatch)
         message = r"3412 of the chain \(1, 2\) is not below 4132"
         with pytest.raises(RuntimeError, match=message):
-            golden_table()
+            analyze(W4132)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_oracle_exhaustive(self, n):
@@ -77,34 +75,34 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eager_invariants_hold(self, n):
-        # The table raises on an image not below w; the chain length and
-        # the orbits hold by construction.
+        # analyze raises on an image not below w; the chain length and the
+        # orbits of the product p(C) = image * w^-1 hold by construction.
         for w in all_perms(n):
             lattice = build_lattice(w)
-            for entry in phi_table(lattice):
-                top = lattice.elements[entry.top]
-                assert entry.image == entry.product * w
-                assert w.n - len(top) == len(entry.labels)
-                assert canon(entry.product.cycles()) == blocks_of(top)
+            for labels, image, k in lattice.chains:
+                top = lattice.elements[k]
+                product = Permutation(image) * w.inverse()
+                assert w.n - len(top) == len(labels)
+                assert canon(product.cycles()) == blocks_of(top)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_length_drop_parity(self, n):
         for w in all_perms(n):
-            for entry in phi_table(build_lattice(w)):
-                drop = w.length() - entry.image.length()
-                m = len(entry.labels)
+            for labels, image, _ in build_lattice(w).chains:
+                drop = w.length() - Permutation(image).length()
+                m = len(labels)
                 assert drop >= m
                 assert (drop - m) % 2 == 0
 
 
 def assert_matches_oracle(w: Permutation) -> None:
-    """``phi_table`` maps every chain that the depth-first search along the
-    lattice's covers finds, in order, to the labels, top, product and image
-    the per-chain oracle gives."""
+    """The lattice keeps every chain that the depth-first search along its
+    covers finds, in order, with the labels, top and image the per-chain
+    oracle gives."""
     lattice = build_lattice(w)
     chains = decreasing_chains(lattice)
     expected = [phi(path, labels, w, lattice) for path, labels in chains]
-    assert phi_table(lattice) == expected
+    assert [(labels, k, image) for labels, image, k in lattice.chains] == expected
 
 
 def injective(w: Permutation, expression=None) -> bool:
@@ -139,11 +137,13 @@ class TestInjectivity:
 
     def test_shared_image_is_reported(self, monkeypatch):
         # The chain (1,) listed a second time shares its image.
-        def walk_twice(w, chains):
-            rows = list(invlat.phimap._images(w, chains))
+        real = invlat.verify._chain_walk
+
+        def walk_twice(w, hyperplanes):
+            rows = list(real(w, hyperplanes))
             return rows + rows[1:2]
 
-        monkeypatch.setattr(invlat.verify, "_images", walk_twice)
+        monkeypatch.setattr(invlat.verify, "_chain_walk", walk_twice)
         found, _ = _phi_images(W4132)
         assert found == {
             "w": "4132",
@@ -173,7 +173,7 @@ class TestSurjectivity:
             assert ok == (not missed)
             # Distinct images below w fill [e, w] exactly when there are
             # br(w) of them: the count the check tests.
-            image_size = len(phi_table(build_lattice(w)))
+            image_size = len(build_lattice(w).chains)
             assert ok == (image_size == interval_size(w))
             assert image_size + len(missed) == len(interval(w))
 
@@ -208,8 +208,8 @@ class TestGoingDown:
 
     def test_distances_equal_chain_length(self):
         dist = distances_from(W4132)
-        for entry in golden_table():
-            assert dist[entry.image.word] == len(entry.labels)
+        for labels, image, _ in golden_chains():
+            assert dist[image] == len(labels)
 
     def test_failed_descent_is_reported(self, monkeypatch):
         # With H_2 read as (2 3), the chain (1, 2) first applies (2 3) to

@@ -231,6 +231,73 @@ class TestRunCheck:
         }
 
 
+class TestRecurrenceFailures:
+    """The exact counterexamples of the recurrences check at n = 4 when the
+    walk's (br, ao) on S_3 are moved: every reduction of an avoider of S_4
+    reads some word of S_3, so each recurrence over a moved value breaks."""
+
+    # (w, target, kind) of the 22 avoiders of S_4 other than e, in order.
+    PAIRS = [
+        ("1243", "w", "light"),
+        ("1324", "w", "light"),
+        ("1342", "w", "light"),
+        ("1423", "inverse", "light"),
+        ("1432", "w", "light"),
+        ("2134", "w", "light"),
+        ("2143", "w", "light"),
+        ("2314", "w", "light"),
+        ("2341", "w", "light"),
+        ("2413", "inverse", "heavy"),
+        ("2431", "w", "light"),
+        ("3124", "inverse", "light"),
+        ("3142", "w", "heavy"),
+        ("3214", "w", "light"),
+        ("3241", "w", "light"),
+        ("3412", "w", "heavy"),
+        ("3421", "w", "light"),
+        ("4123", "inverse", "light"),
+        ("4132", "inverse", "light"),
+        ("4213", "inverse", "light"),
+        ("4312", "w", "light"),
+        ("4321", "w", "light"),
+    ]
+
+    # (br change, ao change) on S_3 -> violations by pair kind.
+    CASES = {
+        (0, 1): {
+            "light": ["light orientation recurrence"],
+            "heavy": ["heavy orientation recurrence"],
+        },
+        (1, 0): {
+            "light": ["light interval recurrence"],
+            "heavy": ["heavy interval recurrence"],
+        },
+        (1, 1): {
+            "light": ["light interval recurrence", "light orientation recurrence"],
+            "heavy": ["heavy interval recurrence", "heavy orientation recurrence"],
+        },
+    }
+
+    @pytest.mark.parametrize("moved", sorted(CASES))
+    def test_violations_with_s3_moved(self, monkeypatch, moved):
+        real = verify._count_walk
+
+        def walk(m):
+            for word, br, ao in real(m):
+                if m == 3:
+                    br, ao = br + moved[0], ao + moved[1]
+                yield word, br, ao
+
+        monkeypatch.setattr(verify, "_count_walk", walk)
+        report = verify.run_check("recurrences", 4, cap=None)
+        violations = self.CASES[moved]
+        assert report.counterexamples == [
+            {"w": w, "target": target, "kind": kind, "violations": violations[kind]}
+            for w, target, kind in self.PAIRS
+        ]
+        assert report.payload == {"heavy": 3, "light": 19, "failure_count": 22}
+
+
 class TestBettiFailures:
     """The exact violation strings of the betti check, on 4132 with one
     interval length count moved: lengths (1, 3, 4, 3, 1) against Betti
