@@ -8,11 +8,12 @@ sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
 ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
 that carries the prefix-set DP for br and the colouring DP for ao side by
 side, so words that share a prefix share its work and no table of n!
-entries is kept.  The chain checks (``phi-injective``,
-``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
-with its image under the chain map, off the chain walk of
-``invlat.lattice`` and build no lattice; a chain that breaks the chain map
-is reported as a counterexample (w, labels, reason).
+entries is kept.  The walk stops at the prefixes of length n - 2 and reads
+the two words that complete each one in closed form from its DPs.  The
+chain checks (``phi-injective``, ``phi-surjective-iff``, ``going-down``)
+read the decreasing chains, each with its image under the chain map, off
+the chain walk of ``invlat.lattice`` and build no lattice; a chain that
+breaks the chain map is reported as a counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
@@ -109,25 +110,63 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     A depth-first walk over the prefixes of w carries two DPs down: the
     prefix sets of the u <= w so far (``interval_length_counts`` with plain
     counts), and the colourings of the prefix's inversion graph by their
-    classes' maxima (``chromatic._colour_step``).  The last value is
-    forced, so the leaves are read one level early: every surviving prefix
-    set of u completes to one u <= w, and the last value opens a class or
-    takes over one of the maxima below it.
+    classes' maxima (``chromatic._colour_step``).  Once two values a < b
+    are left, the two leaves (..., a, b) and (..., b, a) are read off the
+    prefix's DPs in closed form, with no child built:
+
+    - br.  Each surviving prefix set s of u misses two values, so it grows
+      to full - {z} for either value z it misses, and the last value then
+      completes it.  That set must be dominated by w's prefix of length
+      n - 1, which is full - {y} with y = b for (..., a, b) and y = a for
+      (..., b, a).  Since full - {z} is dominated by full - {y} exactly
+      when z >= y, s counts once for each missed value >= y:
+      br(...ab) = sum c_s |miss_s >= b| and br(...ba) = sum c_s |miss_s >= a|.
+    - ao.  A colouring state with j classes weighs sf[j] = (-1)^(n+j) j!
+      once complete, and appending x to it opens a class or takes over one
+      of the m_x class maxima below x.  Folding x then y into a state with
+      m_a maxima below a and m_b below b gives
+      sf[j+2] + (m_a + m_b + 1) sf[j+1] + m_a m_b sf[j] for (a, b), where a
+      new class at a is below b; and
+      sf[j+2] + (m_a + m_b) sf[j+1] + m_a (m_b - 1) sf[j] for (b, a), where
+      a maximum below a that b takes over no longer counts for a.
+
+    >>> list(_count_walk(3))  # doctest: +NORMALIZE_WHITESPACE
+    [((1, 2, 3), 1, 1), ((1, 3, 2), 2, 2), ((2, 1, 3), 2, 2),
+     ((2, 3, 1), 4, 4), ((3, 1, 2), 4, 4), ((3, 2, 1), 6, 6)]
     """
+    if n == 1:
+        yield (1,), 1, 1
+        return
     full = (1 << n) - 1
     # sf[j] is the weight (-1)^(n+j) j! of a colouring with j classes in ao.
     sf = [(-1) ** (n + j) * factorial(j) for j in range(n + 1)]
     dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
     def walk(word, top, ideals, colours):
-        if len(word) == n - 1:
-            v = (full ^ top).bit_length()
-            below = (1 << (v - 1)) - 1
-            ao = 0
+        if len(word) == n - 2:
+            missing = full ^ top
+            below_a = (missing & -missing) - 1
+            a = below_a.bit_length() + 1
+            b = missing.bit_length()
+            below_b = (1 << (b - 1)) - 1
+            br_ab = br_ba = 0
+            for s, count in ideals.items():
+                miss = full ^ s
+                br_ab += count * (miss >> (b - 1)).bit_count()
+                br_ba += count * (miss >> (a - 1)).bit_count()
+            ao_ab = ao_ba = 0
             for s, count in colours.items():
                 j = s.bit_count()
-                ao += count * (sf[j + 1] + (s & below).bit_count() * sf[j])
-            yield word + (v,), sum(ideals.values()), ao
+                m_a = (s & below_a).bit_count()
+                m_b = (s & below_b).bit_count()
+                ao_ab += count * (
+                    sf[j + 2] + (m_a + m_b + 1) * sf[j + 1] + m_a * m_b * sf[j]
+                )
+                ao_ba += count * (
+                    sf[j + 2] + (m_a + m_b) * sf[j + 1] + m_a * (m_b - 1) * sf[j]
+                )
+            yield word + (a, b), br_ab, ao_ab
+            yield word + (b, a), br_ba, ao_ba
             return
         grown = _grow(ideals, n, 0)
         for v in range(1, n + 1):

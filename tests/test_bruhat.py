@@ -23,7 +23,7 @@ from invlat.bruhat import (
     rank_matrix,
     two_sided_weak_covers,
 )
-from invlat.chromatic import acyclic_orientations
+from invlat.chromatic import _class_counts, acyclic_orientations
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import (
     InversionGraph,
@@ -208,6 +208,13 @@ class TestInterval:
         for w in all_perms(n):
             ao = acyclic_orientations(InversionGraph.of(w))
             assert table[w.word] == (interval_size(w), ao)
+
+    def test_walk_ao_against_colouring_dp_at_8(self):
+        # The walk reads ao at every leaf in closed form, two levels above
+        # it; the per-w colouring DP folds the values one at a time.
+        sf = [(-1) ** (8 + j) * math.factorial(j) for j in range(9)]
+        for word, (_, ao) in count_table(8).items():
+            assert ao == sum(map(int.__mul__, sf, _class_counts(word))), word
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ideal_size_table_against_bitset_oracle(self, n):

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 from pathlib import Path
@@ -104,6 +105,30 @@ class TestRunCheck:
         report = verify.run_check("conjectureA", 7)
         assert report.passed
         assert report.payload == {"equal": 2343, "failure_count": 0}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_count_walk_work(self, monkeypatch, n):
+        # The walk builds the children of every prefix shorter than n - 2
+        # and reads both leaves of a prefix of length n - 2 in closed form:
+        # one _grow per prefix of length 0..n-3 and one _colour_step per
+        # prefix of length 1..n-2.  A walk that builds its leaves, or their
+        # parents, fails here.
+        calls = dict.fromkeys(("_grow", "_colour_step"), 0)
+        for name in calls:
+
+            def counted(*args, real=getattr(verify, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        assert sum(1 for _ in verify._count_walk(n)) == math.factorial(n)
+        prefixes = [math.factorial(n) // math.factorial(n - k) for k in range(n - 1)]
+        assert calls == {
+            "_grow": sum(prefixes[:-1]),
+            "_colour_step": sum(prefixes[1:]),
+        }
+        if n == 8:
+            assert calls == {"_grow": 8801, "_colour_step": 28960}
 
     def test_expr_all_mode(self):
         report = verify.run_check("phi-injective", 3, expr="all")
