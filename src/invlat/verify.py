@@ -8,12 +8,13 @@ sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
 ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
 that carries the prefix-set DP for br and the colouring DP for ao side by
 side, so words that share a prefix share its work and no table of n!
-entries is kept.  The walk stops at the prefixes of length n - 2 and reads
-the two words that complete each one in closed form from its DPs.  The
-chain checks (``phi-injective``, ``phi-surjective-iff``, ``going-down``)
-read the decreasing chains, each with its image under the chain map, off
-the chain walk of ``invlat.lattice`` and build no lattice; a chain that
-breaks the chain map is reported as a counterexample (w, labels, reason).
+entries is kept.  The walk stops at the prefixes of length n - 3 and reads
+the six words that complete each one from its DPs, with one packed weight
+table per value set of that length.  The chain checks (``phi-injective``,
+``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
+with its image under the chain map, off the chain walk of
+``invlat.lattice`` and build no lattice; a chain that breaks the chain map
+is reported as a counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import permutations, starmap
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -110,63 +111,118 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     A depth-first walk over the prefixes of w carries two DPs down: the
     prefix sets of the u <= w so far (``interval_length_counts`` with plain
     counts), and the colourings of the prefix's inversion graph by their
-    classes' maxima (``chromatic._colour_step``).  Once two values a < b
-    are left, the two leaves (..., a, b) and (..., b, a) are read off the
-    prefix's DPs in closed form, with no child built:
+    classes' maxima (``chromatic._colour_step``).  It stops at the prefixes
+    of length n - 3, whose missing values are m_1 < m_2 < m_3, and reads
+    the six leaves that complete each one off its DPs, with no child built
+    (for n <= 3 it stops at the root, with n values left and n! leaves).
+    Each DP state s weighs one packed integer, one ``width``-bit field per
+    completion sigma in lexicographic order, taken from a table built once
+    per value set of the prefix; one multiply-add pass over the states then
+    reads all six leaves.  Both weights depend on s only through a few
+    counts against the m_i, so each is worked out once per walk:
 
-    - br.  Each surviving prefix set s of u misses two values, so it grows
-      to full - {z} for either value z it misses, and the last value then
-      completes it.  That set must be dominated by w's prefix of length
-      n - 1, which is full - {y} with y = b for (..., a, b) and y = a for
-      (..., b, a).  Since full - {z} is dominated by full - {y} exactly
-      when z >= y, s counts once for each missed value >= y:
-      br(...ab) = sum c_s |miss_s >= b| and br(...ba) = sum c_s |miss_s >= a|.
+    - br.  A surviving prefix set s of u misses three values, and u's
+      completion is an order of them.  Every longer prefix set of u or of w
+      is "full minus the values still missing", and full - R is dominated
+      by full - R' (with |R| = |R'|) exactly when R, sorted, is elementwise
+      >= R', sorted.  So s weighs, for sigma, the orders of its missing
+      values whose values still missing after one and after two steps stay
+      elementwise >= sigma's.  That depends only on how many of s's missing
+      values are >= each m_i.  (With two values left this is the rule that
+      s counts once for each value it misses >= w's last.)
     - ao.  A colouring state with j classes weighs sf[j] = (-1)^(n+j) j!
       once complete, and appending x to it opens a class or takes over one
-      of the m_x class maxima below x.  Folding x then y into a state with
-      m_a maxima below a and m_b below b gives
-      sf[j+2] + (m_a + m_b + 1) sf[j+1] + m_a m_b sf[j] for (a, b), where a
-      new class at a is below b; and
-      sf[j+2] + (m_a + m_b) sf[j+1] + m_a (m_b - 1) sf[j] for (b, a), where
-      a maximum below a that b takes over no longer counts for a.
+      of the class maxima below x.  For the values still to come, a state
+      is known by its gap counts: how many maxima lie below m_1, between
+      m_1 and m_2, between m_2 and m_3, and above m_3.  sigma's values are
+      folded in one at a time: x = m_i becomes a maximum just above m_i,
+      either as a new class or in place of one of the maxima in a gap below
+      m_i, and the gap counts at the end give j.
+
+    Every final field lies in [1, n!], so the packed sums unpack exactly
+    even though the ao weights of single states are signed.
 
     >>> list(_count_walk(3))  # doctest: +NORMALIZE_WHITESPACE
     [((1, 2, 3), 1, 1), ((1, 3, 2), 2, 2), ((2, 1, 3), 2, 2),
      ((2, 3, 1), 4, 4), ((3, 1, 2), 4, 4), ((3, 2, 1), 6, 6)]
     """
-    if n == 1:
-        yield (1,), 1, 1
-        return
+    k = min(n, 3)  # values left at the prefixes whose leaves are read
     full = (1 << n) - 1
     # sf[j] is the weight (-1)^(n+j) j! of a colouring with j classes in ao.
     sf = [(-1) ** (n + j) * factorial(j) for j in range(n + 1)]
+    width = factorial(n).bit_length()
+    field = (1 << width) - 1
+    # The completions in lexicographic order, as orders of 0..k-1 standing
+    # for m_1 < ... < m_k.
+    orders = list(permutations(range(k)))
     dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
+    def pack(weights):
+        return sum(weight << (width * f) for f, weight in enumerate(weights))
+
+    @functools.cache
+    def br_fields(above):
+        # above[i] counts the values u misses that are >= m_(i+1), so u's
+        # (p+1)-th smallest missing value is >= m_(i+1) when p >= k - above[i].
+        return pack(
+            sum(
+                all(
+                    p >= k - above[i]
+                    for step in range(1, k)
+                    for p, i in zip(sorted(tau[step:]), sorted(sigma[step:]))
+                )
+                for tau in orders
+            )
+            for sigma in orders
+        )
+
+    @functools.cache
+    def ao_fold(gaps, rest):
+        # gaps[i] counts the class maxima between m_i and m_(i+1) (gaps[0]
+        # below m_1, gaps[k] above m_k); x = m_(i+1) joins gaps[i + 1].
+        if not rest:
+            return sf[sum(gaps)]
+        i, rest = rest[0], rest[1:]
+        raised = gaps[: i + 1] + (gaps[i + 1] + 1,) + gaps[i + 2 :]
+        total = ao_fold(raised, rest)
+        for g in range(i + 1):
+            if gaps[g]:
+                taken = raised[:g] + (gaps[g] - 1,) + raised[g + 1 :]
+                total += gaps[g] * ao_fold(taken, rest)
+        return total
+
+    @functools.cache
+    def ao_fields(gaps):
+        return pack(ao_fold(gaps, sigma) for sigma in orders)
+
+    @functools.cache
+    def tables(top):
+        missing = [v for v in range(1, n + 1) if not top >> (v - 1) & 1]
+        brt = {
+            s: br_fields(tuple(((full ^ s) >> (v - 1)).bit_count() for v in missing))
+            for s in dominated(top)
+        }
+        # Every colouring state's class maxima are values of the prefix.
+        aot = {}
+        s = top
+        while True:
+            under = [(s & ((1 << (v - 1)) - 1)).bit_count() for v in missing]
+            under.append(s.bit_count())
+            aot[s] = ao_fields(tuple(b - a for a, b in zip([0] + under, under)))
+            if not s:
+                break
+            s = (s - 1) & top
+        return list(permutations(missing)), brt, aot
+
     def walk(word, top, ideals, colours):
-        if len(word) == n - 2:
-            missing = full ^ top
-            below_a = (missing & -missing) - 1
-            a = below_a.bit_length() + 1
-            b = missing.bit_length()
-            below_b = (1 << (b - 1)) - 1
-            br_ab = br_ba = 0
-            for s, count in ideals.items():
-                miss = full ^ s
-                br_ab += count * (miss >> (b - 1)).bit_count()
-                br_ba += count * (miss >> (a - 1)).bit_count()
-            ao_ab = ao_ba = 0
-            for s, count in colours.items():
-                j = s.bit_count()
-                m_a = (s & below_a).bit_count()
-                m_b = (s & below_b).bit_count()
-                ao_ab += count * (
-                    sf[j + 2] + (m_a + m_b + 1) * sf[j + 1] + m_a * m_b * sf[j]
-                )
-                ao_ba += count * (
-                    sf[j + 2] + (m_a + m_b) * sf[j + 1] + m_a * (m_b - 1) * sf[j]
-                )
-            yield word + (a, b), br_ab, ao_ab
-            yield word + (b, a), br_ba, ao_ba
+        if len(word) == n - k:
+            tails, brt, aot = tables(top)
+            br = sum(c * brt[s] for s, c in ideals.items())
+            ao = sum(c * aot[s] for s, c in colours.items())
+            for tail in tails:
+                yield word + tail, br & field, ao & field
+                br >>= width
+                ao >>= width
             return
         grown = _grow(ideals, n, 0)
         for v in range(1, n + 1):

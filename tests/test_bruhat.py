@@ -210,8 +210,8 @@ class TestInterval:
             assert table[w.word] == (interval_size(w), ao)
 
     def test_walk_ao_against_colouring_dp_at_8(self):
-        # The walk reads ao at every leaf in closed form, two levels above
-        # it; the per-w colouring DP folds the values one at a time.
+        # The walk reads ao at every leaf from a packed table, three levels
+        # above it; the per-w colouring DP folds the values one at a time.
         sf = [(-1) ** (8 + j) * math.factorial(j) for j in range(9)]
         for word, (_, ao) in count_table(8).items():
             assert ao == sum(map(int.__mul__, sf, _class_counts(word))), word

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from invlat.bruhat import _dominated_sets, interval_size
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
 from util import all_perms
+from walk_oracle import two_level_walk
 
 
 class TestRunCheck:
@@ -108,11 +110,11 @@ class TestRunCheck:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_walk_work(self, monkeypatch, n):
-        # The walk builds the children of every prefix shorter than n - 2
-        # and reads both leaves of a prefix of length n - 2 in closed form:
-        # one _grow per prefix of length 0..n-3 and one _colour_step per
-        # prefix of length 1..n-2.  A walk that builds its leaves, or their
-        # parents, fails here.
+        # The walk builds the children of every prefix shorter than n - 3
+        # and reads the six leaves of a prefix of length n - 3 from its DPs:
+        # one _grow per prefix of length 0..n-4 and one _colour_step per
+        # prefix of length 1..n-3.  A walk that builds the children of a
+        # prefix of length n - 3, or anything below them, fails here.
         calls = dict.fromkeys(("_grow", "_colour_step"), 0)
         for name in calls:
 
@@ -122,13 +124,45 @@ class TestRunCheck:
 
             monkeypatch.setattr(verify, name, counted)
         assert sum(1 for _ in verify._count_walk(n)) == math.factorial(n)
-        prefixes = [math.factorial(n) // math.factorial(n - k) for k in range(n - 1)]
+        prefixes = [
+            math.factorial(n) // math.factorial(n - k) for k in range(max(0, n - 2))
+        ]
         assert calls == {
             "_grow": sum(prefixes[:-1]),
             "_colour_step": sum(prefixes[1:]),
         }
         if n == 8:
-            assert calls == {"_grow": 8801, "_colour_step": 28960}
+            assert calls == {"_grow": 2081, "_colour_step": 8800}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_count_walk_matches_the_two_level_walk(self, n):
+        # Folding the last three levels from packed tables yields exactly
+        # the stream of the walk that folds the last two in closed form.
+        assert list(verify._count_walk(n)) == list(two_level_walk(n))
+
+    def test_count_walk_memory(self):
+        # The packed tables are kept per value set of length n - 3 (56 of
+        # them at n = 8) and dropped with the walk, never per w.
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in verify._count_walk(8)) == 40320
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_count_walk_at_n9(self):
+        # Theorem A over all of S_9, one size above conjectureA's ceiling:
+        # re <= br everywhere, with equality on the 59,786 avoiders of the
+        # four patterns, and br = re = 9! at the longest element.
+        equal = 0
+        for word, br, ao in verify._count_walk(9):
+            assert ao <= br, word
+            equal += ao == br
+        assert equal == 59786
+        assert (word, br, ao) == ((9, 8, 7, 6, 5, 4, 3, 2, 1), 362880, 362880)
+        with pytest.raises(ValueError, match="accepts"):
+            verify.run_check("conjectureA", 9)
 
     def test_expr_all_mode(self):
         report = verify.run_check("phi-injective", 3, expr="all")
