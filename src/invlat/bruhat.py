@@ -53,12 +53,15 @@ def _bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _word_leq(word: Sequence[int], w: Permutation) -> bool:
-    """Whether the permutation with one-line ``word`` is <= w: at each
-    bubble (i, j) of w, its first i values (bits of ``mask``) hold at most
-    R_w[i][j] values >= j."""
+def _word_leq(
+    word: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]]
+) -> bool:
+    """Whether the permutation with one-line ``word`` is <= w, where
+    ``rows`` is ``_bubble_rows(w)``: at each bubble (i, j) of w, its first
+    i values (bits of ``mask``) hold at most R_w[i][j] values >= j.  A
+    caller testing many words against one w reads the rows once."""
     mask = 0
-    for v, row in zip(word, _bubble_rows(w)):
+    for v, row in zip(word, rows):
         mask |= 1 << (v - 1)
         for shift, bound in row:
             if (mask >> shift).bit_count() > bound:
@@ -75,7 +78,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    return _word_leq(u.word, w)
+    return _word_leq(u.word, _bubble_rows(w))
 
 
 def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:

@@ -16,11 +16,12 @@ two blocks of an element gives one of its covers exactly when some
 inversion edge crosses them, and the cover's label is the largest
 hyperplane index among the crossing edges (``_merge_labeller``).
 ``_chain_walk`` follows that rule along the decreasing chains alone, with
-no lattice, and yields each chain with its image under the chain map.  It
-is the lattice's only enumeration: every element tops at
-least one decreasing chain, so ``IntersectionLattice`` takes its elements
-from the chain tops and its covers from the same rule, and checks that the
-covers of the tops are tops.
+no lattice, and yields each chain with its image under the chain map and
+its top as an ``owner`` tuple, the block bitmask of each point.  It is the
+lattice's only enumeration: every element tops at least one decreasing
+chain, so ``IntersectionLattice`` takes its elements from the distinct
+owners, each turned into an element once, and its covers from the same
+rule, and checks that the covers of the tops are tops.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _merge_labeller(
 def _chain_walk(
     w: Permutation, hyperplanes: Sequence[Transposition]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(labels, image word, blocks)`` for every label-decreasing
+    """Yield ``(labels, image word, owner)`` for every label-decreasing
     saturated chain C from the bottom, every length included, in
     depth-first preorder with the labels tried ascending: that is,
     lexicographically by label sequence.
@@ -107,35 +108,38 @@ def _chain_walk(
     labels strictly increase.  Appending j to a chain is a cover exactly
     when t_j = (a b) joins two different blocks A and B of its top and j is
     the largest index of a hyperplane crossing A and B, the rule the
-    lattice labels its covers by.  ``blocks`` is the chain's top as a
-    lattice element.  The image word is that of p(C) * w, where p(C) =
-    t_{j_1} ... t_{j_m}.  Each label swaps the values a and b of p(C), so
-    it swaps the values w(a) and w(b) of the image; a and b lie in
-    different cycles of p(C), so the cycles of p(C) are the blocks.
+    lattice labels its covers by.  ``owner[v - 1]`` is the bitmask of the
+    block of point v in the chain's top; listing the distinct blocks in
+    point order gives the top as a lattice element.  The image word is that
+    of p(C) * w, where p(C) = t_{j_1} ... t_{j_m}.  Each label swaps the
+    values a and b of p(C), so it swaps the values w(a) and w(b) of the
+    image; a and b lie in different cycles of p(C), so the cycles of p(C)
+    are the blocks.  The walk keeps the image as ``bytes`` and swaps its
+    two values with one ``bytes.translate`` table per hyperplane; it
+    yields the image as a tuple of ints.
     """
     n = w.n
     merge_label = _merge_labeller(n, hyperplanes)
-    steps = [(j, a, b, w(a), w(b)) for j, (a, b) in enumerate(hyperplanes, 1)]
-    tops: dict[tuple[int, ...], tuple[int, ...]] = {}
+    steps = []
+    for j, (a, b) in enumerate(hyperplanes, 1):
+        swap = bytearray(range(256))
+        swap[w(a)], swap[w(b)] = w(b), w(a)
+        steps.append((j, a - 1, b - 1, bytes(swap)))
 
-    # owner[v - 1] is the block of point v; listing the distinct blocks in
-    # point order puts them in the element's order, by smallest point.
-    # Chains with the same top share one tuple of it.
     def grow(labels, image, owner, start):
-        blocks = tuple(dict.fromkeys(owner))
-        yield labels, image, tops.setdefault(blocks, blocks)
-        for j, a, b, wa, wb in steps[start:]:
-            block_a, block_b = owner[a - 1], owner[b - 1]
+        yield labels, tuple(image), owner
+        for j, a, b, swap in steps[start:]:
+            block_a, block_b = owner[a], owner[b]
             if block_a != block_b and merge_label(block_a, block_b) == j:
                 merged = block_a | block_b
                 yield from grow(
                     labels + (j,),
-                    tuple(wb if v == wa else wa if v == wb else v for v in image),
+                    image.translate(swap),
                     tuple(merged if o & merged else o for o in owner),
                     j,
                 )
 
-    yield from grow((), w.word, tuple(1 << v for v in range(n)), 0)
+    yield from grow((), bytes(w.word), tuple(1 << v for v in range(n)), 0)
 
 
 class IntersectionLattice:
@@ -147,10 +151,13 @@ class IntersectionLattice:
     among the hyperplanes first merged by it.  ``chains`` holds one
     ``(labels, image word, top index)`` per decreasing chain C, in label
     order, as ``_chain_walk`` yields them: the image is the chain map's
-    p(C) * w, which ``cli.analyze`` tests against w.  ``elements`` holds the distinct
-    chain tops sorted by rank, then by their blocks' points, so the bottom
-    is ``elements[0]``; ``covers_up[k]`` lists the sorted (index, label)
-    pairs of the covers of ``elements[k]``.
+    p(C) * w, which ``cli.analyze`` tests against w.  The walk gives each
+    chain's top as its ``owner`` tuple; each distinct owner is turned into
+    its element once, and chains with the same top share that element's
+    index.  ``elements`` holds the distinct chain tops sorted by rank, then
+    by their blocks' points, so the bottom is ``elements[0]``;
+    ``covers_up[k]`` lists the sorted (index, label) pairs of the covers of
+    ``elements[k]``.
 
     Every element of a geometric lattice has |mu(bottom, x)| >= 1 (Rota
     1964), and the decreasing chains ending at x number |mu(bottom, x)|
@@ -165,15 +172,19 @@ class IntersectionLattice:
         self.w = w
         self.hyperplanes = _hyperplanes(w, expression)
         chains = list(_chain_walk(w, self.hyperplanes))
+        # Listing an owner's distinct blocks in point order puts them in the
+        # element's order, by smallest point; each distinct owner is read once.
+        tops = {owner: tuple(dict.fromkeys(owner)) for owner in {c[2] for c in chains}}
         self.elements: tuple[tuple[int, ...], ...] = tuple(
             sorted(
-                {top for _, _, top in chains},
+                tops.values(),
                 key=lambda x: (n - len(x), tuple(map(_points, x))),
             )
         )
         position = {x: k for k, x in enumerate(self.elements)}
+        index = {owner: position[top] for owner, top in tops.items()}
         self.chains: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] = tuple(
-            (labels, image, position[top]) for labels, image, top in chains
+            (labels, image, index[owner]) for labels, image, owner in chains
         )
 
         # Blocks stay ordered by their smallest points: merging blocks i < j

@@ -272,10 +272,11 @@ def _phi_images(
     None; and the image words met, each with its chain's labels.
     """
     expr = expression if expression is not None else reduced_expression(w)
+    rows = _bubble_rows(w)
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for labels, image, _ in _chain_walk(w, _hyperplanes(w, expr)):
         reason = None
-        if not _word_leq(image, w):
+        if not _word_leq(image, rows):
             reason = f"image {format_one_line(image)} is not below w"
         elif image in images:
             reason = (

@@ -114,7 +114,10 @@ def assert_walk_matches_cover_dfs(lattice):
     give the chains that the depth-first search along ``covers_up`` finds,
     in the same order, each with its image t_{j_1} ... t_{j_m} * w and its
     top element.  (a b) * x swaps positions a and b of x, so the image
-    takes w through the labels from the last one back."""
+    takes w through the labels from the last one back.  The walk gives the
+    top as its owner tuple: ``owner[v - 1]`` must be the block of the DFS
+    element that holds point v.  Every image must be a tuple of ints, as a
+    ``bytes`` image would match no word of the interval."""
     expected = []
     for path, labels in decreasing_chains(lattice):
         word = list(lattice.w.word)
@@ -122,7 +125,15 @@ def assert_walk_matches_cover_dfs(lattice):
             a, b = lattice.hyperplanes[j - 1]
             word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
         expected.append((labels, tuple(word), lattice.elements[path[-1]]))
-    assert list(walk(lattice)) == expected
+    walked = list(walk(lattice))
+    assert [(labels, word) for labels, word, _ in walked] == [
+        (labels, word) for labels, word, _ in expected
+    ]
+    for (_, word, owner), (_, _, top) in zip(walked, expected):
+        assert type(word) is tuple and all(type(v) is int for v in word)
+        assert len(owner) == lattice.w.n
+        for v, block in enumerate(owner, 1):
+            assert block in top and block >> (v - 1) & 1
     kept = [(labels, word, lattice.elements[k]) for labels, word, k in lattice.chains]
     assert kept == expected
 
@@ -271,7 +282,9 @@ class TestMobiusAndBetti:
         real = invlat.lattice._chain_walk
 
         def lossy(w, hyperplanes):
-            return (c for c in real(w, hyperplanes) if c[2] != (0b1101, 0b0010))
+            # The walk gives a chain's top as the block of each point.
+            lost = (0b1101, 0b0010, 0b1101, 0b1101)
+            return (c for c in real(w, hyperplanes) if c[2] != lost)
 
         monkeypatch.setattr(invlat.lattice, "_chain_walk", lossy)
         with pytest.raises(RuntimeError, match=r"134\|2 covers 1\|2\|34 but tops no"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from interval_oracle import hull_fillings, hull_rows
-from invlat import verify
+from invlat import bruhat, verify
 from invlat.bruhat import _dominated_sets, interval_size
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
@@ -102,6 +102,22 @@ class TestRunCheck:
                         monkeypatch.setattr(module, attr, forbidden)
         report = verify.run_check(check, 4)
         assert report.passed
+
+    def test_phi_injective_reads_bubble_rows_once_per_w(self, monkeypatch):
+        # The 3,651 images over S_5 are each tested against their w with
+        # the rows read once for that w, so a lookup per image fails here.
+        calls = []
+        real = verify._bubble_rows
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        for module in (verify, bruhat):
+            monkeypatch.setattr(module, "_bubble_rows", counted)
+        outcomes = list(verify._check_phi_injective(5, "canonical"))
+        assert all(failure is None for failure, _ in outcomes)
+        assert len(calls) == len(set(calls)) == 120
 
     def test_conjecture_a_equal_count_at_n7(self):
         report = verify.run_check("conjectureA", 7)
