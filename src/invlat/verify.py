@@ -8,8 +8,8 @@ sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
 ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
 that carries the prefix-set DP for br and the colouring DP for ao side by
 side, so words that share a prefix share its work and no table of n!
-entries is kept.  The walk stops at the prefixes of length n - 3 and reads
-the six words that complete each one from its DPs, with one packed weight
+entries is kept.  The walk stops at the prefixes of length n - 4 and reads
+the 24 words that complete each one from its DPs, with one packed weight
 table per value set of that length.  The chain checks (``phi-injective``,
 ``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
 with its image under the chain map, off the chain walk of
@@ -112,32 +112,35 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     prefix sets of the u <= w so far (``interval_length_counts`` with plain
     counts), and the colourings of the prefix's inversion graph by their
     classes' maxima (``chromatic._colour_step``).  It stops at the prefixes
-    of length n - 3, whose missing values are m_1 < m_2 < m_3, and reads
-    the six leaves that complete each one off its DPs, with no child built
-    (for n <= 3 it stops at the root, with n values left and n! leaves).
-    Each DP state s weighs one packed integer, one ``width``-bit field per
-    completion sigma in lexicographic order, taken from a table built once
-    per value set of the prefix; one multiply-add pass over the states then
-    reads all six leaves.  Both weights depend on s only through a few
-    counts against the m_i, so each is worked out once per walk:
+    of length n - 4, whose missing values are m_1 < m_2 < m_3 < m_4, and
+    reads the 24 leaves that complete each one off its DPs, with no child
+    built (for n <= 4 it stops at the root, with n values left and n!
+    leaves).  Each DP state s weighs one packed integer, one ``width``-bit
+    field per completion sigma in lexicographic order, taken from a table
+    built once per value set of the prefix; one multiply-add pass over the
+    states then reads all 24 leaves.  Both weights depend on s only through
+    a few counts against the m_i, so each is worked out once per walk:
 
-    - br.  A surviving prefix set s of u misses three values, and u's
+    - br.  A surviving prefix set s of u misses four values, and u's
       completion is an order of them.  Every longer prefix set of u or of w
       is "full minus the values still missing", and full - R is dominated
       by full - R' (with |R| = |R'|) exactly when R, sorted, is elementwise
       >= R', sorted.  So s weighs, for sigma, the orders of its missing
-      values whose values still missing after one and after two steps stay
-      elementwise >= sigma's.  That depends only on how many of s's missing
-      values are >= each m_i.  (With two values left this is the rule that
-      s counts once for each value it misses >= w's last.)
+      values whose values still missing after one, two and three steps
+      stay elementwise >= sigma's.  That depends only on how many of s's
+      missing values are >= each m_i.  (With two values left this is the
+      rule that s counts once for each value it misses >= w's last.)
     - ao.  A colouring state with j classes weighs sf[j] = (-1)^(n+j) j!
       once complete, and appending x to it opens a class or takes over one
       of the class maxima below x.  For the values still to come, a state
-      is known by its gap counts: how many maxima lie below m_1, between
-      m_1 and m_2, between m_2 and m_3, and above m_3.  sigma's values are
-      folded in one at a time: x = m_i becomes a maximum just above m_i,
-      either as a new class or in place of one of the maxima in a gap below
-      m_i, and the gap counts at the end give j.
+      is known by its five gap counts: how many maxima lie below m_1,
+      between m_i and m_(i+1) for i = 1, 2, 3, and above m_4.  sigma's
+      values are folded in one at a time: x = m_i becomes a maximum just
+      above m_i, either as a new class or in place of one of the maxima in
+      a gap below m_i, and the gap counts at the end give j.  The fold's
+      memo of (gaps, values left) is dropped once each value set's table
+      is built, so it holds one value set's states at a time; the fields
+      per gap tuple are kept for the walk.
 
     Every final field lies in [1, n!], so the packed sums unpack exactly
     even though the ao weights of single states are signed.
@@ -146,7 +149,7 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     [((1, 2, 3), 1, 1), ((1, 3, 2), 2, 2), ((2, 1, 3), 2, 2),
      ((2, 3, 1), 4, 4), ((3, 1, 2), 4, 4), ((3, 2, 1), 6, 6)]
     """
-    k = min(n, 3)  # values left at the prefixes whose leaves are read
+    k = min(n, 4)  # values left at the prefixes whose leaves are read
     full = (1 << n) - 1
     # sf[j] is the weight (-1)^(n+j) j! of a colouring with j classes in ao.
     sf = [(-1) ** (n + j) * factorial(j) for j in range(n + 1)]
@@ -160,20 +163,31 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     def pack(weights):
         return sum(weight << (width * f) for f, weight in enumerate(weights))
 
+    # br_fields(above) counts, for each sigma, the orders tau of u's missing
+    # values that every step allows.  Where a step pairs the (p+1)-th
+    # smallest of u's values still missing with m_(i+1), it must be
+    # >= m_(i+1): that holds when above[i], the number of values u misses
+    # that are >= m_(i+1), is >= k - p.  So each pair (sigma, tau) comes down
+    # to one tuple need, met when above >= need elementwise, and needs[f]
+    # counts the taus of each need for the f-th sigma.  rests holds each
+    # order's values still to come after 1, ..., k - 1 steps, sorted.
+    rests = [[sorted(order[step:]) for step in range(1, k)] for order in orders]
+    needs = []
+    for sigma in rests:
+        counts: dict[tuple[int, ...], int] = {}
+        for tau in rests:
+            need = [0] * k
+            for tau_rest, sigma_rest in zip(tau, sigma):
+                for p, i in zip(tau_rest, sigma_rest):
+                    need[i] = max(need[i], k - p)
+            counts[tuple(need)] = counts.get(tuple(need), 0) + 1
+        needs.append(counts.items())
+
     @functools.cache
     def br_fields(above):
-        # above[i] counts the values u misses that are >= m_(i+1), so u's
-        # (p+1)-th smallest missing value is >= m_(i+1) when p >= k - above[i].
         return pack(
-            sum(
-                all(
-                    p >= k - above[i]
-                    for step in range(1, k)
-                    for p, i in zip(sorted(tau[step:]), sorted(sigma[step:]))
-                )
-                for tau in orders
-            )
-            for sigma in orders
+            sum(c for need, c in counts if all(map(int.__ge__, above, need)))
+            for counts in needs
         )
 
     @functools.cache
@@ -212,6 +226,7 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             if not s:
                 break
             s = (s - 1) & top
+        ao_fold.cache_clear()
         return list(permutations(missing)), brt, aot
 
     def walk(word, top, ideals, colours):
@@ -362,14 +377,32 @@ def _check_going_down(n: int, expr: str) -> _Outcomes:
     return map(lambda w: (_going_down_failure(w), {}), all_permutations(n))
 
 
+def _absolute_length(u: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """The absolute length of u w^-1, for two words of one length: n minus
+    the number of cycles of the map w(i) -> u(i).
+
+    >>> _absolute_length((1, 2, 3), (3, 2, 1))
+    1
+    >>> _absolute_length((2, 3, 1), (1, 2, 3))
+    2
+    """
+    step = dict(zip(w, u))
+    cycles = 0
+    for x in w:
+        if x in step:
+            cycles += 1
+            while x in step:
+                x = step.pop(x)
+    return len(w) - cycles
+
+
 def _check_characterization(n: int, expr: str) -> _Outcomes:
     """For every u <= w, the directed distance from u to w equals the
     absolute length of u w^-1 exactly when w avoids the four patterns."""
 
     def one(w: Permutation):
-        winv = w.inverse()
         equal_everywhere = all(
-            d == (Permutation(word) * winv).absolute_length()
+            d == _absolute_length(word, w.word)
             for word, d in distances_from(w).items()
         )
         avoiding = is_chromobruhatic(w)

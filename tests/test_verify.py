@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 import re
 import sys
@@ -6,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from interval_oracle import hull_fillings, hull_rows
-from invlat import bruhat, verify
+from interval_oracle import hull_fillings, hull_rows, rank_leq
+from invlat import bruhat, chromatic, verify
 from invlat.bruhat import _dominated_sets, interval_size
+from invlat.chromatic import IntPoly
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
 from util import all_perms
@@ -126,11 +129,11 @@ class TestRunCheck:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_walk_work(self, monkeypatch, n):
-        # The walk builds the children of every prefix shorter than n - 3
-        # and reads the six leaves of a prefix of length n - 3 from its DPs:
-        # one _grow per prefix of length 0..n-4 and one _colour_step per
-        # prefix of length 1..n-3.  A walk that builds the children of a
-        # prefix of length n - 3, or anything below them, fails here.
+        # The walk builds the children of every prefix shorter than n - 4
+        # and reads the 24 leaves of a prefix of length n - 4 from its DPs:
+        # one _grow per prefix of length 0..n-5 and one _colour_step per
+        # prefix of length 1..n-4.  A walk that builds the children of a
+        # prefix of length n - 4, or anything below them, fails here.
         calls = dict.fromkeys(("_grow", "_colour_step"), 0)
         for name in calls:
 
@@ -141,23 +144,23 @@ class TestRunCheck:
             monkeypatch.setattr(verify, name, counted)
         assert sum(1 for _ in verify._count_walk(n)) == math.factorial(n)
         prefixes = [
-            math.factorial(n) // math.factorial(n - k) for k in range(max(0, n - 2))
+            math.factorial(n) // math.factorial(n - k) for k in range(max(0, n - 3))
         ]
         assert calls == {
             "_grow": sum(prefixes[:-1]),
             "_colour_step": sum(prefixes[1:]),
         }
         if n == 8:
-            assert calls == {"_grow": 2081, "_colour_step": 8800}
+            assert calls == {"_grow": 401, "_colour_step": 2080}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_count_walk_matches_the_two_level_walk(self, n):
-        # Folding the last three levels from packed tables yields exactly
+        # Folding the last four levels from packed tables yields exactly
         # the stream of the walk that folds the last two in closed form.
         assert list(verify._count_walk(n)) == list(two_level_walk(n))
 
     def test_count_walk_memory(self):
-        # The packed tables are kept per value set of length n - 3 (56 of
+        # The packed tables are kept per value set of length n - 4 (70 of
         # them at n = 8) and dropped with the walk, never per w.
         tracemalloc.start()
         try:
@@ -222,6 +225,18 @@ class TestRunCheck:
         assert report.counterexamples == [
             {"w": "4231", "br": 20, "bubble": 20, "hull": 24, "avoiding": True}
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_absolute_length_from_the_words(self, n):
+        # characterization reads the absolute length of u w^-1 off the two
+        # words; the product's cycles must give the same number.
+        for w in all_perms(n):
+            winv = w.inverse()
+            for u in all_perms(n):
+                if rank_leq(u, w):
+                    assert verify._absolute_length(u.word, w.word) == (
+                        u * winv
+                    ).absolute_length(), (u, w)
 
     def test_report_json_shape(self):
         report = verify.run_check("conjectureA", 3)
@@ -422,3 +437,112 @@ class TestBettiFailures:
             "w": "4132",
             "violations": self.CASES[moved],
         }
+
+
+class TestPlantedDefects:
+    """Every check can fail: one defect planted in a check's input for one
+    w of S_4 makes the check report exactly that w, with the
+    counterexample's keys.  The avoider 4132 is also smooth."""
+
+    W = Permutation((4, 1, 3, 2))
+
+    # The test that plants a defect for each check, as (module, name).
+    TESTS = {
+        "conjectureA": ("test_verify", "TestRunCheck.test_walk_counterexamples"),
+        "conjectureB": ("test_verify", "TestRunCheck.test_walk_counterexamples"),
+        "phi-injective": (
+            "test_cli",
+            "TestVerifyCommand.test_chain_check_reports_image_not_below_w",
+        ),
+        "phi-surjective-iff": (
+            "test_cli",
+            "TestVerifyCommand.test_chain_check_reports_image_not_below_w",
+        ),
+        "going-down": (
+            "test_cli",
+            "TestVerifyCommand.test_chain_check_reports_image_not_below_w",
+        ),
+        "characterization": (
+            "test_phimap",
+            "TestCharacterization.test_4231_biconditional",
+        ),
+        "betti": ("test_verify", "TestPlantedDefects.test_betti"),
+        "chromatic-identity": (
+            "test_verify",
+            "TestPlantedDefects.test_chromatic_identity",
+        ),
+        "opy": ("test_verify", "TestPlantedDefects.test_opy"),
+        "recurrences": (
+            "test_verify",
+            "TestRecurrenceFailures.test_violations_with_s3_moved",
+        ),
+        "hull-vs-standard": (
+            "test_verify",
+            "TestRunCheck.test_hull_vs_standard_checks_the_converse",
+        ),
+        "weak-chain": ("test_verify", "TestPlantedDefects.test_weak_chain"),
+    }
+
+    def test_planted_defects_cover_every_check(self):
+        assert set(self.TESTS) == set(verify.CHECKS)
+        for check, (module, name) in self.TESTS.items():
+            test = importlib.import_module(module)
+            for part in name.split("."):
+                test = getattr(test, part)
+            assert f'"{check}"' in inspect.getsource(test), (check, name)
+
+    def moved(self, real):
+        # real(w), moved by one coefficient at W alone.
+        def poly(w):
+            return real(w) + IntPoly.monomial(1) if w == self.W else real(w)
+
+        return poly
+
+    def run(self, check, expected):
+        # The counterexamples over S_4, key order included; the payload.
+        report = verify.run_check(check, 4, cap=None)
+        assert [list(f.items()) for f in report.counterexamples] == [
+            list(f.items()) for f in expected
+        ]
+        return report.payload
+
+    def test_betti(self, monkeypatch):
+        # One interval length count of W moved up: lengths (1, 3, 4, 3, 2).
+        real = verify.interval_length_counts
+
+        def lengths(w):
+            counts = real(w)
+            return counts[:4] + (counts[4] + 1,) if w == self.W else counts
+
+        monkeypatch.setattr(verify, "interval_length_counts", lengths)
+        violations = TestBettiFailures.CASES[(4, 1)]
+        payload = self.run("betti", [{"w": "4132", "violations": violations}])
+        assert payload == {"avoiding": 23, "failure_count": 1}
+
+    def test_chromatic_identity(self, monkeypatch):
+        moved = self.moved(chromatic.chromatic_of)
+        monkeypatch.setattr(chromatic, "chromatic_of", moved)
+        payload = self.run(
+            "chromatic-identity", [{"w": "4132", "identity": False, "avoiding": True}]
+        )
+        assert payload == {"failure_count": 1}
+
+    def test_opy(self, monkeypatch):
+        monkeypatch.setattr(verify, "chromatic_of", self.moved(verify.chromatic_of))
+        failure = {
+            "w": "4132",
+            "product": "t^4-4t^3+5t^2-2t",
+            "chromatic": "t^4-4t^3+5t^2-t",
+        }
+        assert self.run("opy", [failure]) == {"smooth": 22, "failure_count": 1}
+
+    def test_weak_chain(self, monkeypatch):
+        # The longest element loses its covers, so it alone is unreachable:
+        # nothing lies above it.
+        real = verify.two_sided_weak_covers
+        top = Permutation((4, 3, 2, 1))
+        monkeypatch.setattr(
+            verify, "two_sided_weak_covers", lambda w: set() if w == top else real(w)
+        )
+        payload = self.run("weak-chain", [{"w": "4321"}])
+        assert payload == {"chromobruhatic": 23, "failure_count": 1}
