@@ -1,14 +1,15 @@
 """Bruhat order on the symmetric group: the comparison u <= w by rank counts
 at w's bubbles, the lower interval's size and length counts, the directed
-distances to w in the Bruhat graph from every element of the interval, and
-the downward covers in the two-sided weak order."""
+distances to w in the Bruhat graph from every element of the interval, the
+elements of the interval that the chain map misses, and the downward covers
+in the two-sided weak order."""
 
 from __future__ import annotations
 
 import functools
 import math
 import types
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from invlat.permutation import Permutation
 
@@ -184,6 +185,15 @@ def distances_from(w: Permutation) -> Mapping[tuple[int, ...], int]:
                             nxt.append(t)
         frontier = nxt
     return types.MappingProxyType(dist)
+
+
+def missed_elements(
+    w: Permutation, images: Container[tuple[int, ...]]
+) -> tuple[Permutation, ...]:
+    """The elements of [e, w] whose words are not among the chain map's
+    ``images``, sorted."""
+    missed = sorted(u for u in distances_from(w) if u not in images)
+    return tuple(map(Permutation._trusted, missed))
 
 
 def two_sided_weak_covers(w: Permutation) -> set[Permutation]:

@@ -16,7 +16,13 @@ from typing import Any, Optional
 
 from invlat import golden as golden_mod
 from invlat import verify as verify_mod
-from invlat.bruhat import _bubble_rows, _word_leq, distances_from, interval_size
+from invlat.bruhat import (
+    _bubble_rows,
+    _word_leq,
+    distances_from,
+    interval_size,
+    missed_elements,
+)
 from invlat.chromatic import (
     betti_numbers,
     chi_distance_transform,
@@ -27,7 +33,6 @@ from invlat.lattice import build_lattice, mobius_values, partition_text
 from invlat.patterns import (
     CHROMOBRUHATIC_PATTERNS,
     find_reduction_pair,
-    is_chromobruhatic,
     is_smooth,
     witness_below,
     contains,
@@ -40,7 +45,6 @@ from invlat.permutation import (
     record_positions,
     reduced_expression,
 )
-from invlat.phimap import missed_elements
 
 
 def analyze(w: Permutation) -> dict[str, Any]:
@@ -87,7 +91,7 @@ def analyze(w: Permutation) -> dict[str, Any]:
     ao = abs(chi(-1))
     br = interval_size(w)
     smooth = is_smooth(w)
-    avoiding = is_chromobruhatic(w)
+    contained = [str(p) for p in CHROMOBRUHATIC_PATTERNS if contains(w, p)]
     injective = len(images) == len(rows)
     missed = missed_elements(w, images)
     surjective = not missed
@@ -101,11 +105,9 @@ def analyze(w: Permutation) -> dict[str, Any]:
         "inversions": [[t.i, t.j] for t in w.inversions()],
         "reduced_expression": list(expr),
         "record_positions": list(record_positions(w)),
-        "chromobruhatic": avoiding,
+        "chromobruhatic": not contained,
         "smooth": smooth,
-        "contained_patterns": [
-            str(p) for p in CHROMOBRUHATIC_PATTERNS if contains(w, p)
-        ],
+        "contained_patterns": contained,
         "br": br,
         "re": re,
         "ao": ao,

@@ -36,6 +36,7 @@ from invlat.bruhat import (
     distances_from,
     interval_length_counts,
     interval_size,
+    missed_elements,
     two_sided_weak_covers,
 )
 from invlat.chromatic import (
@@ -62,7 +63,6 @@ from invlat.permutation import (
     opy_exponents,
     reduced_expression,
 )
-from invlat.phimap import missed_elements
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
@@ -118,29 +118,23 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     leaves).  Each DP state s weighs one packed integer, one ``width``-bit
     field per completion sigma in lexicographic order, taken from a table
     built once per value set of the prefix; one multiply-add pass over the
-    states then reads all 24 leaves.  Both weights depend on s only through
-    a few counts against the m_i, so each is worked out once per walk:
+    states then reads all 24 leaves.
 
-    - br.  A surviving prefix set s of u misses four values, and u's
-      completion is an order of them.  Every longer prefix set of u or of w
-      is "full minus the values still missing", and full - R is dominated
-      by full - R' (with |R| = |R'|) exactly when R, sorted, is elementwise
-      >= R', sorted.  So s weighs, for sigma, the orders of its missing
-      values whose values still missing after one, two and three steps
-      stay elementwise >= sigma's.  That depends only on how many of s's
-      missing values are >= each m_i.  (With two values left this is the
-      rule that s counts once for each value it misses >= w's last.)
-    - ao.  A colouring state with j classes weighs sf[j] = (-1)^(n+j) j!
-      once complete, and appending x to it opens a class or takes over one
-      of the class maxima below x.  For the values still to come, a state
-      is known by its five gap counts: how many maxima lie below m_1,
-      between m_i and m_(i+1) for i = 1, 2, 3, and above m_4.  sigma's
-      values are folded in one at a time: x = m_i becomes a maximum just
-      above m_i, either as a new class or in place of one of the maxima in
-      a gap below m_i, and the gap counts at the end give j.  The fold's
-      memo of (gaps, values left) is dropped once each value set's table
-      is built, so it holds one value set's states at a time; the fields
-      per gap tuple are kept for the walk.
+    Both weights depend on s only through its gap counts, the numbers of
+    values of a bitmask in [m_g, m_(g+1)) for g = 0..4 (m_0 = 1,
+    m_5 = n + 1): of u's missing values ``full ^ s`` for br, of the class
+    maxima ``s`` for ao.  One memoised fold per DP places sigma's values
+    one at a time; a step that takes a value out of a gap is counted once
+    per value in that gap.  ``fields`` packs the 24 results per gap tuple:
+
+    - br.  full - R is dominated by full - R' (|R| = |R'|) exactly when R,
+      sorted, is elementwise >= R', sorted.  So a step takes one of u's
+      missing values, and is allowed only while u's values still missing
+      stay elementwise >= w's; a finished state weighs 1.
+    - ao.  x = m_i becomes a maximum just above m_i, as a new class or in
+      place of a maximum in a gap below m_i; a finished state with j
+      classes weighs sf[j] = (-1)^(n+j) j!.  The memo of (gaps, values
+      left) is dropped once each value set's table is built.
 
     Every final field lies in [1, n!], so the packed sums unpack exactly
     even though the ao weights of single states are signed.
@@ -160,40 +154,24 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     orders = list(permutations(range(k)))
     dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
-    def pack(weights):
-        return sum(weight << (width * f) for f, weight in enumerate(weights))
-
-    # br_fields(above) counts, for each sigma, the orders tau of u's missing
-    # values that every step allows.  Where a step pairs the (p+1)-th
-    # smallest of u's values still missing with m_(i+1), it must be
-    # >= m_(i+1): that holds when above[i], the number of values u misses
-    # that are >= m_(i+1), is >= k - p.  So each pair (sigma, tau) comes down
-    # to one tuple need, met when above >= need elementwise, and needs[f]
-    # counts the taus of each need for the f-th sigma.  rests holds each
-    # order's values still to come after 1, ..., k - 1 steps, sorted.
-    rests = [[sorted(order[step:]) for step in range(1, k)] for order in orders]
-    needs = []
-    for sigma in rests:
-        counts: dict[tuple[int, ...], int] = {}
-        for tau in rests:
-            need = [0] * k
-            for tau_rest, sigma_rest in zip(tau, sigma):
-                for p, i in zip(tau_rest, sigma_rest):
-                    need[i] = max(need[i], k - p)
-            counts[tuple(need)] = counts.get(tuple(need), 0) + 1
-        needs.append(counts.items())
-
     @functools.cache
-    def br_fields(above):
-        return pack(
-            sum(c for need, c in counts if all(map(int.__ge__, above, need)))
-            for counts in needs
+    def br_fold(gaps, rest):
+        # rest lists w's values still missing; a value in gap g is
+        # >= m_(i+1) exactly when g > i.
+        left = [g for g, c in enumerate(gaps) for _ in range(c)]
+        if not all(map(int.__gt__, left, sorted(rest))):
+            return 0
+        if not rest:
+            return 1
+        return sum(
+            c * br_fold(gaps[:g] + (c - 1,) + gaps[g + 1 :], rest[1:])
+            for g, c in enumerate(gaps)
+            if c
         )
 
     @functools.cache
     def ao_fold(gaps, rest):
-        # gaps[i] counts the class maxima between m_i and m_(i+1) (gaps[0]
-        # below m_1, gaps[k] above m_k); x = m_(i+1) joins gaps[i + 1].
+        # x = m_(i+1) joins gaps[i + 1].
         if not rest:
             return sf[sum(gaps)]
         i, rest = rest[0], rest[1:]
@@ -206,26 +184,21 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         return total
 
     @functools.cache
-    def ao_fields(gaps):
-        return pack(ao_fold(gaps, sigma) for sigma in orders)
+    def fields(fold, gaps):
+        return sum(fold(gaps, sigma) << (width * f) for f, sigma in enumerate(orders))
 
     @functools.cache
     def tables(top):
         missing = [v for v in range(1, n + 1) if not top >> (v - 1) & 1]
-        brt = {
-            s: br_fields(tuple(((full ^ s) >> (v - 1)).bit_count() for v in missing))
-            for s in dominated(top)
-        }
+
+        def gaps(mask):
+            under = [(mask & ((1 << (v - 1)) - 1)).bit_count() for v in missing]
+            under.append(mask.bit_count())
+            return tuple(b - a for a, b in zip([0] + under, under))
+
+        brt = {s: fields(br_fold, gaps(full ^ s)) for s in dominated(top)}
         # Every colouring state's class maxima are values of the prefix.
-        aot = {}
-        s = top
-        while True:
-            under = [(s & ((1 << (v - 1)) - 1)).bit_count() for v in missing]
-            under.append(s.bit_count())
-            aot[s] = ao_fields(tuple(b - a for a, b in zip([0] + under, under)))
-            if not s:
-                break
-            s = (s - 1) & top
+        aot = {s: fields(ao_fold, gaps(s)) for s in range(top + 1) if s & top == s}
         ao_fold.cache_clear()
         return list(permutations(missing)), brt, aot
 

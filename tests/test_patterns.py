@@ -229,7 +229,7 @@ class TestWitness:
         assert witness.pattern == W4231
         assert (witness.u * W4231.inverse()).absolute_length() == 2
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_gap_for_every_non_avoiding(self, n):
         for w in all_perms(n):
             witness = witness_below(w)

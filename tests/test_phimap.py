@@ -4,12 +4,11 @@ import random
 import pytest
 
 import invlat.verify
-from invlat.bruhat import bruhat_leq, distances_from, interval_size
+from invlat.bruhat import bruhat_leq, distances_from, interval_size, missed_elements
 from invlat.cli import analyze
 from invlat.lattice import build_lattice
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, all_reduced_expressions, format_one_line
-from invlat.phimap import missed_elements
 from invlat.verify import _going_down_failure, _phi_images
 from lattice_oracle import blocks_of, canon, decreasing_chains
 from phi_oracle import going_down, phi

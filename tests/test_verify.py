@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import math
+import pkgutil
 import re
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from interval_oracle import hull_fillings, hull_rows, rank_leq
+import invlat
 from invlat import bruhat, chromatic, verify
 from invlat.bruhat import _dominated_sets, interval_size
 from invlat.chromatic import IntPoly
@@ -319,6 +321,13 @@ class TestRunCheck:
         assert {name: int(n) for name, _, n in rows if n} == {
             "phi-injective": verify.ALL_EXPR_CEILING
         }
+
+    def test_readme_layout_lists_every_module(self):
+        # The module column of the README's Layout table.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `invlat\.(\w+)` +\|", readme, re.M)
+        modules = [info.name for info in pkgutil.iter_modules(invlat.__path__)]
+        assert sorted(rows) == sorted(modules)
 
 
 class TestRecurrenceFailures:

@@ -1,6 +1,7 @@
 """The count walk that reads its leaves two levels early, in closed form:
-the test oracle for ``invlat.verify._count_walk``, which reads them three
-levels early from packed weight tables.
+the test oracle for ``invlat.verify._count_walk``, which reads them four
+levels early from per-value-set tables, each built by a fold over the DP
+states' gap counts.
 
 Both walks carry the same two DPs down the prefixes of S_n (the prefix sets
 of the u <= w, and the colourings by their classes' maxima) and must yield
