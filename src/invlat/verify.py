@@ -3,18 +3,20 @@
 ``CHECKS`` holds each check's largest n and its scan.  A scan walks S_n in
 lexicographic order and yields, for each w, a counterexample or None and
 the payload counts of w, both from one computation of w's data, and
-``run_check`` collects them in one loop.  The count-only
-sweeps (``conjectureA``, ``conjectureB``, ``recurrences``) read br(w) and
-ao(w) off ``_count_walk``: one depth-first walk over the prefixes of S_n
-that carries the prefix-set DP for br and the colouring DP for ao side by
-side, so words that share a prefix share its work and no table of n!
-entries is kept.  The walk stops at the prefixes of length n - 4 and reads
-the 24 words that complete each one from its DPs, with one packed weight
-table per value set of that length.  The chain checks (``phi-injective``,
-``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
-with its image under the chain map, off the chain walk of
-``invlat.lattice`` and build no lattice; a chain that breaks the chain map
-is reported as a counterexample (w, labels, reason).
+``run_check`` collects them in one loop.  Five scans read br(w) off
+``_count_walk``, the only source of br in the sweeps: the count-only
+sweeps (``conjectureA``, ``conjectureB``, ``recurrences``), which read
+ao(w) off it too, and ``phi-surjective-iff`` and ``hull-vs-standard``.
+The walk is one depth-first walk over the prefixes of S_n that carries the
+prefix-set DP for br and the colouring DP for ao side by side, so words
+that share a prefix share its work and no table of n! entries is kept.  It
+stops at the prefixes of length n - 4 and reads the 24 words that complete
+each one from its DPs, with one packed weight table per value set of that
+length.  The chain checks (``phi-injective``, ``phi-surjective-iff``,
+``going-down``) read the decreasing chains, each with its image under the
+chain map, off the chain walk of ``invlat.lattice`` and build no lattice;
+a chain that breaks the chain map is reported as a counterexample (w,
+labels, reason).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from invlat.bruhat import (
     bruhat_leq,
     distances_from,
     interval_length_counts,
-    interval_size,
     missed_elements,
     two_sided_weak_covers,
 )
@@ -295,17 +296,19 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
     """The chain map is onto [e, w] exactly when w avoids the four patterns.
 
     The images are checked to be distinct and below w, so they fill [e, w]
-    exactly when there are br(w) chains; the interval is enumerated only to
-    list the missed elements of a failing w.  Given injectivity, the count
-    test is Theorem B (re(w) = br(w) iff avoiding): what this check adds on
-    its own is that the images really are distinct and below w.
+    exactly when there are br(w) chains, with br(w) read off the count
+    walk; the interval is enumerated only to list the missed elements of a
+    failing w.  Given injectivity, the count test is Theorem B (re(w) =
+    br(w) iff avoiding): what this check adds on its own is that the images
+    really are distinct and below w.
     """
 
-    def one(w: Permutation):
+    def one(word, br, ao):
+        w = Permutation(word)
         found, images = _phi_images(w)
         avoiding = is_chromobruhatic(w)
         if found is None:
-            surjective = len(images) == interval_size(w)
+            surjective = len(images) == br
             if surjective != avoiding:
                 missed = missed_elements(w, images)
                 found = {
@@ -316,7 +319,7 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
                 }
         return found, {"avoiding": int(avoiding)}
 
-    return map(one, all_permutations(n))
+    return starmap(one, _count_walk(n))
 
 
 def _going_down_failure(w: Permutation) -> Optional[dict]:
@@ -517,12 +520,9 @@ def _check_recurrences(n: int, expr: str) -> _Outcomes:
     return map(one, all_permutations(n))
 
 
-def _hull_counts(
-    w: Permutation, dominated: Callable[[int], frozenset[int]]
-) -> tuple[int, int, int]:
-    """``(br, bubble, hull)``: the number of u that Ehresmann's criterion
-    puts below w, that pass the rank test at w's bubbles, and that fit in
-    w's right hull.  ``dominated(top)`` is ``_dominated_sets(top, n)``.
+def _hull_counts(w: Permutation) -> tuple[int, int]:
+    """``(bubble, hull)``: the number of u that pass the rank test at w's
+    bubbles, and that fit in w's right hull, each by one prefix-set DP.
 
     u fits in the hull when, at every position i, u(i) lies between the
     smallest value of w at positions >= i and the largest at positions
@@ -533,13 +533,10 @@ def _hull_counts(
     n = w.n
     word = w.word
     rows = _bubble_rows(w)
-    ehresmann, bubble, hull = [], [], []
-    top = 0
+    bubble, hull = [], []
     for i in range(1, n + 1):
-        top |= 1 << (word[i - 1] - 1)
         within = (1 << max(word[:i])) - 1
         need = (1 << (min(word[i:]) - 1 if i < n else n)) - 1
-        ehresmann.append(dominated(top).__contains__)
         bubble.append(
             lambda s, row=rows[i - 1]: all((s >> j).bit_count() <= b for j, b in row)
         )
@@ -547,21 +544,23 @@ def _hull_counts(
             lambda s, within=within, need=need: s | within == within
             and s & need == need
         )
-    return tuple(_prefix_count(n, keeps) for keeps in (ehresmann, bubble, hull))
+    return _prefix_count(n, bubble), _prefix_count(n, hull)
 
 
 def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
-    """The bubble test and Sjöstrand's right-hull criterion, as counts.
+    """The bubble test and Sjöstrand's right-hull criterion, as counts
+    against br(w) read off the count walk.
 
     The bubbles are a subset of the rank squares, so the bubble test
-    accepts every u <= w: equal counts prove the two sets equal.  [e, w]
-    always fits in the hull, so hull = br exactly when the hull's fillings
-    are [e, w], and that must hold exactly when w avoids the four patterns.
+    accepts every u <= w: a bubble count of br(w) proves the two sets
+    equal.  [e, w] always fits in the hull, so hull = br exactly when the
+    hull's fillings are [e, w], and that must hold exactly when w avoids
+    the four patterns.
     """
-    dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
-    def one(w: Permutation):
-        br, bubble, hull = _hull_counts(w, dominated)
+    def one(word, br, ao):
+        w = Permutation(word)
+        bubble, hull = _hull_counts(w)
         avoiding = is_chromobruhatic(w)
         failure = None
         if bubble != br or hull < br or (hull == br) != avoiding:
@@ -574,7 +573,7 @@ def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
             }
         return failure, {}
 
-    return map(one, all_permutations(n))
+    return starmap(one, _count_walk(n))
 
 
 def _check_weak_chain(n: int, expr: str) -> _Outcomes:
@@ -584,10 +583,7 @@ def _check_weak_chain(n: int, expr: str) -> _Outcomes:
     for w in sorted(chromo, key=lambda u: u.length()):
         if w.is_identity():
             continue
-        if any(
-            u.word in chromo_words and u.word in reachable
-            for u in two_sided_weak_covers(w)
-        ):
+        if any(u.word in reachable for u in two_sided_weak_covers(w)):
             reachable.add(w.word)
 
     def one(w: Permutation):

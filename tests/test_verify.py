@@ -12,7 +12,7 @@ import pytest
 from interval_oracle import hull_fillings, hull_rows, rank_leq
 import invlat
 from invlat import bruhat, chromatic, verify
-from invlat.bruhat import _dominated_sets, interval_size
+from invlat.bruhat import interval_size
 from invlat.chromatic import IntPoly
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
@@ -96,13 +96,21 @@ class TestRunCheck:
     )
     def test_chain_checks_need_no_lattice_and_no_bfs(self, monkeypatch, check):
         # Every w of S_4 passes, so phi-surjective-iff lists no missed
-        # elements either: the chains come from the walk alone.
+        # elements either: the chains come from the chain walk alone, and
+        # br from the count walk, with no per-w interval DP.
         def forbidden(*args, **kwargs):
-            raise AssertionError(f"{check} called a lattice build or a BFS")
+            raise AssertionError(f"{check} called a lattice build, a BFS or a DP")
 
+        forbidden_names = (
+            "build_lattice",
+            "IntersectionLattice",
+            "distances_from",
+            "interval_size",
+            "interval_length_counts",
+        )
         for name, module in list(sys.modules.items()):
             if name.startswith("invlat"):
-                for attr in ("build_lattice", "IntersectionLattice", "distances_from"):
+                for attr in forbidden_names:
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, forbidden)
         report = verify.run_check(check, 4)
@@ -196,25 +204,20 @@ class TestRunCheck:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_hull_counts_against_the_oracles(self, n):
-        # br and the bubble count are |[e, w]|; the set-form hull count is
-        # the number of permutation matrices inside the hull rows.
-        def dominated(top):
-            return _dominated_sets(top, n)
-
+        # The bubble count is |[e, w]|, as the per-w interval DP counts it;
+        # the set-form hull count is the number of permutation matrices
+        # inside the hull rows.
         for w in all_perms(n):
-            br, bubble, hull = verify._hull_counts(w, dominated)
-            assert br == bubble == interval_size(w)
+            bubble, hull = verify._hull_counts(w)
+            assert bubble == interval_size(w)
             assert hull == sum(1 for _ in hull_fillings(hull_rows(w)))
 
     def test_hull_overcounts_exactly_off_the_avoiders(self):
-        def dominated(top):
-            return _dominated_sets(top, 6)
-
         over = set()
         for w in all_perms(6):
-            br, bubble, hull = verify._hull_counts(w, dominated)
-            assert hull >= br == bubble
-            if hull > br:
+            bubble, hull = verify._hull_counts(w)
+            assert hull >= bubble
+            if hull > bubble:
                 over.add(w.word)
         containing = {w.word for w in all_perms(6) if not is_chromobruhatic(w)}
         assert over == containing and len(over) == 243
@@ -227,6 +230,22 @@ class TestRunCheck:
         assert report.counterexamples == [
             {"w": "4231", "br": 20, "bubble": 20, "hull": 24, "avoiding": True}
         ]
+
+    def test_hull_vs_standard_runs_two_dps_per_w(self, monkeypatch):
+        # The bubble and hull counts are one prefix-set DP each; br comes
+        # from the count walk, which runs none.
+        calls = []
+        real = verify._prefix_count
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (verify, bruhat):
+            monkeypatch.setattr(module, "_prefix_count", counted)
+        outcomes = list(verify._check_hull_vs_standard(5, "canonical"))
+        assert all(failure is None for failure, _ in outcomes)
+        assert len(outcomes) == 120 and len(calls) == 240
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_absolute_length_from_the_words(self, n):
@@ -304,6 +323,39 @@ class TestRunCheck:
         assert capped.counterexamples == full.counterexamples[:3]
         assert capped.truncated
         assert capped.payload == full.payload
+
+    @pytest.mark.parametrize("moved", [-1, 1])
+    @pytest.mark.parametrize("check", ["phi-surjective-iff", "hull-vs-standard"])
+    def test_walk_br_counterexamples(self, monkeypatch, check, moved):
+        # The real walk over S_4 with br moved at the avoider 4132 alone,
+        # whose 12 chains and 12 bubble and hull fillings are [e, w].
+        real = verify._count_walk
+
+        def walk(n):
+            for word, br, ao in real(n):
+                yield word, br + moved * (word == (4, 1, 3, 2)), ao
+
+        monkeypatch.setattr(verify, "_count_walk", walk)
+        expected = {
+            "phi-surjective-iff": {
+                "w": "4132",
+                "surjective": False,
+                "avoiding": True,
+                "missed": [],
+            },
+            "hull-vs-standard": {
+                "w": "4132",
+                "br": 12 + moved,
+                "bubble": 12,
+                "hull": 12,
+                "avoiding": True,
+            },
+        }[check]
+        report = verify.run_check(check, 4, cap=None)
+        assert [list(f.items()) for f in report.counterexamples] == [
+            list(expected.items())
+        ]
+        assert report.payload["failure_count"] == 1
 
     def test_summary_line(self):
         report = verify.run_check("weak-chain", 3)
