@@ -1,8 +1,9 @@
-"""Bruhat order on the symmetric group: the comparison u <= w by rank counts
-at w's bubbles, the lower interval's size and length counts, the directed
-distances to w in the Bruhat graph from every element of the interval, the
-elements of the interval that the chain map misses, and the downward covers
-in the two-sided weak order."""
+"""Bruhat order on the symmetric group: the comparison u <= w by Ehresmann's
+criterion, one set lookup per prefix of u against the value sets that w's
+prefixes dominate; the rank counts at w's bubbles; the lower interval's size
+and length counts; the directed distances to w in the Bruhat graph from
+every element of the interval; the elements of the interval that the chain
+map misses; and the downward covers in the two-sided weak order."""
 
 from __future__ import annotations
 
@@ -43,10 +44,9 @@ def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row i - 1 holds (j - 1, R_w[i][j]) for each bubble (i, j) of w in
-    row i; computed once per w."""
+    row i."""
     wr = rank_matrix(w)
     rows: list[list[tuple[int, int]]] = [[] for _ in range(w.n)]
     for i, j in sorted(bubbles(w)):
@@ -54,32 +54,59 @@ def _bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _word_leq(
-    word: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]]
-) -> bool:
+@functools.lru_cache(maxsize=1 << 10)
+def _dominated_sets(top: int, n: int) -> frozenset[int]:
+    """Every set of |top| values, as a bitmask, that ``top`` dominates.
+
+    Ehresmann's tableau criterion: u <= w exactly when for every i the set
+    of u's first i values is dominated by the set of w's first i values,
+    that is, when for every k the k-th smallest value of u's set is at most
+    the k-th smallest of w's (equivalently, for every bound j, u's set holds
+    no more values >= j than w's).  Cached on ``(top, n)``, which holds
+    every top of S_n up to n = 10.
+    """
+    sets = [0]
+    for cap in (v for v in range(n) if top >> v & 1):
+        sets = [s | 1 << v for s in sets for v in range(s.bit_length(), cap + 1)]
+    return frozenset(sets)
+
+
+def _prefix_sets(w: Permutation) -> tuple[frozenset[int], ...]:
+    """Entry i - 1 holds every set of i values, as a bitmask, that the set
+    of w's first i values dominates (``_dominated_sets``), for i = 1..n-1;
+    the set of all n values is always dominated and has no entry."""
+    sets = []
+    top = 0
+    for value in w.word[:-1]:
+        top |= 1 << (value - 1)
+        sets.append(_dominated_sets(top, w.n))
+    return tuple(sets)
+
+
+def _word_leq(word: Sequence[int], sets: Sequence[Container[int]]) -> bool:
     """Whether the permutation with one-line ``word`` is <= w, where
-    ``rows`` is ``_bubble_rows(w)``: at each bubble (i, j) of w, its first
-    i values (bits of ``mask``) hold at most R_w[i][j] values >= j.  A
-    caller testing many words against one w reads the rows once."""
+    ``sets`` is ``_prefix_sets(w)``: by Ehresmann's criterion, the set of
+    its first i values (bits of ``mask``) is among w's dominated sets of
+    size i, for every i.  A caller testing many words against one w reads
+    the sets once."""
     mask = 0
-    for v, row in zip(word, rows):
+    for v, keep in zip(word, sets):
         mask |= 1 << (v - 1)
-        for shift, bound in row:
-            if (mask >> shift).bit_count() > bound:
-                return False
+        if mask not in keep:
+            return False
     return True
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """u <= w in the Bruhat order, by comparing u's rank counts with w's at
-    the bubbles of w only.
+    """u <= w in the Bruhat order, by Ehresmann's criterion: each prefix of
+    u, as a set of values, is dominated by w's prefix of the same length.
 
     >>> bruhat_leq(Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1)))
     True
     """
     if u.n != w.n:
         raise ValueError(f"size mismatch: n={u.n} vs n={w.n}")
-    return _word_leq(u.word, _bubble_rows(w))
+    return _word_leq(u.word, _prefix_sets(w))
 
 
 def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:
@@ -112,21 +139,6 @@ def _prefix_count(
     for keep in keeps:
         level = {s: c for s, c in _grow(level, n, width).items() if keep(s)}
     return sum(level.values())
-
-
-def _dominated_sets(top: int, n: int) -> frozenset[int]:
-    """Every set of |top| values, as a bitmask, that ``top`` dominates.
-
-    Ehresmann's tableau criterion: u <= w exactly when for every i the set
-    of u's first i values is dominated by the set of w's first i values,
-    that is, when for every k the k-th smallest value of u's set is at most
-    the k-th smallest of w's (equivalently, for every bound j, u's set holds
-    no more values >= j than w's).
-    """
-    sets = [0]
-    for cap in (v for v in range(n) if top >> v & 1):
-        sets = [s | 1 << v for s in sets for v in range(s.bit_length(), cap + 1)]
-    return frozenset(sets)
 
 
 def interval_length_counts(w: Permutation) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from typing import Any, Optional
 from invlat import golden as golden_mod
 from invlat import verify as verify_mod
 from invlat.bruhat import (
-    _bubble_rows,
+    _prefix_sets,
     _word_leq,
     distances_from,
     interval_size,
@@ -54,8 +54,8 @@ def analyze(w: Permutation) -> dict[str, Any]:
     The lattice walks the decreasing chains once and keeps them, each with
     its image under the chain map and its top as an element index; the phi
     table and the Mobius cross-check both read those chains.  Each image
-    is tested as a word against w's bubble rows, read once for w, and
-    raises when it is not below w, as a labelling bug.
+    is tested as a word against w's prefix sets (Ehresmann's criterion),
+    read once for w, and raises when it is not below w, as a labelling bug.
     """
     expr = reduced_expression(w)
     lattice = build_lattice(w, expr)
@@ -64,10 +64,10 @@ def analyze(w: Permutation) -> dict[str, Any]:
     # the first m + 1 elements of the last chain of length m - 1.  A chain
     # C's product p(C) is its image times w^-1.
     w_inverse = w.inverse().word
-    bubble_rows = _bubble_rows(w)
+    prefix_sets = _prefix_sets(w)
     rows, images, path = [], set(), []
     for labels, image, top in lattice.chains:
-        if not _word_leq(image, bubble_rows):
+        if not _word_leq(image, prefix_sets):
             raise RuntimeError(
                 f"phi image {format_one_line(image)} of the chain {labels} "
                 f"is not below {w}"

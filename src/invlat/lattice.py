@@ -116,7 +116,9 @@ def _chain_walk(
     image; a and b lie in different cycles of p(C), so the cycles of p(C)
     are the blocks.  The walk keeps the image as ``bytes`` and swaps its
     two values with one ``bytes.translate`` table per hyperplane; it
-    yields the image as a tuple of ints.
+    yields the image as a tuple of ints.  It keeps the chains still to
+    visit on an explicit stack, each chain's extensions pushed in
+    descending label order so that they pop ascending.
     """
     n = w.n
     merge_label = _merge_labeller(n, hyperplanes)
@@ -125,21 +127,27 @@ def _chain_walk(
         swap = bytearray(range(256))
         swap[w(a)], swap[w(b)] = w(b), w(a)
         steps.append((j, a - 1, b - 1, bytes(swap)))
+    # The steps with labels above ``start`` are the first k - start of
+    # these, for k hyperplanes.
+    descending = steps[::-1]
+    k = len(steps)
 
-    def grow(labels, image, owner, start):
+    stack = [((), bytes(w.word), tuple(1 << v for v in range(n)), 0)]
+    while stack:
+        labels, image, owner, start = stack.pop()
         yield labels, tuple(image), owner
-        for j, a, b, swap in steps[start:]:
+        for j, a, b, swap in descending[: k - start]:
             block_a, block_b = owner[a], owner[b]
             if block_a != block_b and merge_label(block_a, block_b) == j:
                 merged = block_a | block_b
-                yield from grow(
-                    labels + (j,),
-                    image.translate(swap),
-                    tuple(merged if o & merged else o for o in owner),
-                    j,
+                stack.append(
+                    (
+                        labels + (j,),
+                        image.translate(swap),
+                        tuple([merged if o & merged else o for o in owner]),
+                        j,
+                    )
                 )
-
-    yield from grow((), bytes(w.word), tuple(1 << v for v in range(n)), 0)
 
 
 class IntersectionLattice:

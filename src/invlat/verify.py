@@ -33,6 +33,7 @@ from invlat.bruhat import (
     _dominated_sets,
     _grow,
     _prefix_count,
+    _prefix_sets,
     _word_leq,
     bruhat_leq,
     distances_from,
@@ -153,7 +154,6 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     # The completions in lexicographic order, as orders of 0..k-1 standing
     # for m_1 < ... < m_k.
     orders = list(permutations(range(k)))
-    dominated = functools.cache(lambda top: _dominated_sets(top, n))
 
     @functools.cache
     def br_fold(gaps, rest):
@@ -197,7 +197,7 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             under.append(mask.bit_count())
             return tuple(b - a for a, b in zip([0] + under, under))
 
-        brt = {s: fields(br_fold, gaps(full ^ s)) for s in dominated(top)}
+        brt = {s: fields(br_fold, gaps(full ^ s)) for s in _dominated_sets(top, n)}
         # Every colouring state's class maxima are values of the prefix.
         aot = {s: fields(ao_fold, gaps(s)) for s in range(top + 1) if s & top == s}
         ao_fold.cache_clear()
@@ -217,7 +217,7 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         for v in range(1, n + 1):
             child = top | 1 << (v - 1)
             if child != top:
-                keep = dominated(child)
+                keep = _dominated_sets(child, n)
                 yield from walk(
                     word + (v,),
                     child,
@@ -256,16 +256,18 @@ def _phi_images(
     """Read every decreasing chain of w with its image under phi off the
     chain walk, with no lattice.
 
-    Returns the first chain whose image is not below w or repeats an
-    earlier chain's image, as a counterexample (w, labels, reason), or
-    None; and the image words met, each with its chain's labels.
+    Each image is tested against w by Ehresmann's criterion, with w's
+    prefix sets read once.  Returns the first chain whose image is not
+    below w or repeats an earlier chain's image, as a counterexample (w,
+    labels, reason), or None; and the image words met, each with its
+    chain's labels.
     """
     expr = expression if expression is not None else reduced_expression(w)
-    rows = _bubble_rows(w)
+    sets = _prefix_sets(w)
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for labels, image, _ in _chain_walk(w, _hyperplanes(w, expr)):
         reason = None
-        if not _word_leq(image, rows):
+        if not _word_leq(image, sets):
             reason = f"image {format_one_line(image)} is not below w"
         elif image in images:
             reason = (

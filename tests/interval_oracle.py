@@ -1,8 +1,10 @@
 """The retired ways of comparing, counting and enumerating [e, w], kept as
-independent oracles for ``invlat.bruhat``'s bubble test, prefix-set DP and
-breadth-first search.
+independent oracles for ``invlat.bruhat``'s prefix-set test, prefix-set DP
+and breadth-first search.
 
 - ``rank_leq``: u <= w by comparing the full rank matrices;
+- ``bubble_word_leq``: u <= w by counting, at each of w's bubbles, u's
+  values at or above the bubble's column;
 - ``hull_rows``: w's right hull as one bitmask per row;
 - ``ryser_permanent``: br(w) as the permanent of the right-hull mask, exact
   only when w avoids 4231, 35142, 42513 and 351624;
@@ -28,6 +30,20 @@ def rank_leq(u: Permutation, w: Permutation) -> bool:
         for ur, wr in zip(rank_matrix(u), rank_matrix(w))
         for a, b in zip(ur, wr)
     )
+
+
+def bubble_word_leq(word, rows) -> bool:
+    """Whether the permutation with one-line ``word`` is <= w, where
+    ``rows`` is ``invlat.bruhat._bubble_rows(w)``: at each bubble (i, j) of
+    w, its first i values (bits of ``mask``) hold at most R_w[i][j] values
+    >= j."""
+    mask = 0
+    for v, row in zip(word, rows):
+        mask |= 1 << (v - 1)
+        for shift, bound in row:
+            if (mask >> shift).bit_count() > bound:
+                return False
+    return True
 
 
 def hull_rows(w: Permutation) -> tuple[int, ...]:

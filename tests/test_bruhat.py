@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from interval_oracle import (
     bitset_ideal_table,
+    bubble_word_leq,
     filter_interval,
     hull_interval,
     hull_rows,
@@ -15,6 +16,9 @@ from interval_oracle import (
     ryser_permanent,
 )
 from invlat.bruhat import (
+    _bubble_rows,
+    _prefix_sets,
+    _word_leq,
     bruhat_leq,
     bubbles,
     distances_from,
@@ -86,6 +90,42 @@ class TestLeqBackends:
         for w in all_perms(n):
             for u in all_perms(n):
                 assert bruhat_leq(u, w) == rank_leq(u, w)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_prefix_sets_and_bubble_rows_agree_everywhere(self, n):
+        # Ehresmann's prefix-set test against the bubble-row popcounts, on
+        # every pair (u, w) of S_n.
+        words = [u.word for u in all_perms(n)]
+        below = 0
+        for w in all_perms(n):
+            sets, rows = _prefix_sets(w), _bubble_rows(w)
+            for word in words:
+                leq = _word_leq(word, sets)
+                assert leq == bubble_word_leq(word, rows), (word, w)
+                below += leq
+        # Pairs on both sides: sum of br(w) over S_n, against (n!)^2.
+        assert below == {1: 1, 2: 3, 3: 19, 4: 213, 5: 3781, 6: 98407}[n]
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_prefix_sets_and_bubble_rows_agree_on_samples(self, n):
+        # Seeded pairs: u at random, mostly not below w, and u reached from
+        # w by random swaps of inversion pairs, each one step down.
+        rng = random.Random(n)
+        outcomes = set()
+        for _ in range(300):
+            w = Permutation(rng.sample(range(1, n + 1), n))
+            sets, rows = _prefix_sets(w), _bubble_rows(w)
+            down = list(w.word)
+            for _ in range(rng.randrange(n)):
+                i, j = sorted(rng.sample(range(n), 2))
+                if down[i] > down[j]:
+                    down[i], down[j] = down[j], down[i]
+            for word in (tuple(rng.sample(range(1, n + 1), n)), tuple(down)):
+                leq = _word_leq(word, sets)
+                assert leq == bubble_word_leq(word, rows), (word, w)
+                outcomes.add(leq)
+            assert _word_leq(tuple(down), sets)
+        assert outcomes == {True, False}
 
     def test_hull_agrees_for_avoiding(self):
         # Sjostrand: when w avoids the four patterns, [e, w] is exactly the
