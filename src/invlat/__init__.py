@@ -1,12 +1,7 @@
 """Bruhat intervals, inversion hyperplane arrangements and chromatic
 identities for permutations of the symmetric group."""
 
-from invlat.bruhat import (
-    bruhat_leq,
-    bubbles,
-    interval_size,
-    rank_matrix,
-)
+from invlat.bruhat import bruhat_leq, interval_size
 from invlat.chromatic import (
     IntPoly,
     acyclic_orientations,
@@ -52,7 +47,6 @@ __all__ = [
     "all_permutations",
     "betti_numbers",
     "bruhat_leq",
-    "bubbles",
     "build_lattice",
     "chromatic_identity_holds",
     "chromatic_of",
@@ -66,7 +60,6 @@ __all__ = [
     "opy_chromatic",
     "parse_permutation",
     "partition_text",
-    "rank_matrix",
     "reduced_expression",
     "reduction_step",
     "reflection_sequence",

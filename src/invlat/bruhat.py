@@ -1,57 +1,18 @@
 """Bruhat order on the symmetric group: the comparison u <= w by Ehresmann's
 criterion, one set lookup per prefix of u against the value sets that w's
-prefixes dominate; the rank counts at w's bubbles; the lower interval's size
-and length counts; the directed distances to w in the Bruhat graph from
-every element of the interval; the elements of the interval that the chain
-map misses; and the downward covers in the two-sided weak order."""
+prefixes dominate; the lower interval's size and length counts by the
+prefix-set DP; the directed distances to w in the Bruhat graph from every
+element of the interval; the elements of the interval that the chain map
+misses; and the downward covers in the two-sided weak order."""
 
 from __future__ import annotations
 
 import functools
 import math
 import types
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from invlat.permutation import Permutation
-
-
-def rank_matrix(w: Permutation) -> tuple[tuple[int, ...], ...]:
-    """The table R[i][j] = #{m <= i : mw >= j} (1-based, stored 0-based).
-
-    Counts the rooks weakly north-east of each square; rows are weakly
-    increasing, columns weakly decreasing, and R[n][1] = n.
-    """
-    n = w.n
-    rows = []
-    prev = (0,) * n
-    for i in range(1, n + 1):
-        v = w(i)
-        row = tuple(prev[j] + (1 if v >= j + 1 else 0) for j in range(n))
-        rows.append(row)
-        prev = row
-    return tuple(rows)
-
-
-def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
-    """Squares with a rook strictly to the left in their row and strictly
-    below in their column; comparing rank counts there decides u <= w."""
-    winv = w.inverse()
-    return frozenset(
-        (i, j)
-        for i in range(1, w.n + 1)
-        for j in range(1, w.n + 1)
-        if w(i) < j and winv(j) > i
-    )
-
-
-def _bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row i - 1 holds (j - 1, R_w[i][j]) for each bubble (i, j) of w in
-    row i."""
-    wr = rank_matrix(w)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(w.n)]
-    for i, j in sorted(bubbles(w)):
-        rows[i - 1].append((j - 1, wr[i - 1][j - 1]))
-    return tuple(map(tuple, rows))
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -129,36 +90,25 @@ def _grow(level: dict[int, int], n: int, width: int) -> dict[int, int]:
     return grown
 
 
-def _prefix_count(
-    n: int, keeps: Iterable[Callable[[int], bool]], width: int = 0
-) -> int:
-    """The words of S_n whose first i values form a set that ``keeps[i - 1]``
-    accepts, for every i, counted by the prefix-set DP; ``width`` as in
-    ``_grow`` (0 for plain counts, > 0 for counts packed by length)."""
-    level = {0: 1}
-    for keep in keeps:
-        level = {s: c for s, c in _grow(level, n, width).items() if keep(s)}
-    return sum(level.values())
-
-
 def interval_length_counts(w: Permutation) -> tuple[int, ...]:
     """Ascending coefficients of sum_{u <= w} q^l(u): entry k counts the
     elements of length k in [e, w].  Serves any w with n <= 12.
 
     The DP walks the value sets of u's prefixes, i values at a time,
     keeping those that w's prefix of length i dominates (``_dominated_sets``),
-    in O(n 2^n) steps (``_prefix_count``).  Each set's length counts are
-    packed into one integer (``_grow``), so appending a value is a shift and
-    merging prefixes is an addition.
+    in O(n 2^n) steps.  Each set's length counts are packed into one
+    integer (``_grow``), so appending a value is a shift and merging
+    prefixes is an addition.
     """
     n = w.n
     width = math.factorial(n).bit_length()  # no count exceeds n!
-    keeps = []
+    level = {0: 1}
     top = 0
     for value in w.word:
         top |= 1 << (value - 1)
-        keeps.append(_dominated_sets(top, n).__contains__)
-    packed = _prefix_count(n, keeps, width)
+        keep = _dominated_sets(top, n)
+        level = {s: c for s, c in _grow(level, n, width).items() if s in keep}
+    packed = sum(level.values())
     field = (1 << width) - 1
     return tuple((packed >> (width * k)) & field for k in range(w.length() + 1))
 

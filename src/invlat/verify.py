@@ -12,11 +12,12 @@ prefix-set DP for br and the colouring DP for ao side by side, so words
 that share a prefix share its work and no table of n! entries is kept.  It
 stops at the prefixes of length n - 4 and reads the 24 words that complete
 each one from its DPs, with one packed weight table per value set of that
-length.  The chain checks (``phi-injective``, ``phi-surjective-iff``,
-``going-down``) read the decreasing chains, each with its image under the
-chain map, off the chain walk of ``invlat.lattice`` and build no lattice;
-a chain that breaks the chain map is reported as a counterexample (w,
-labels, reason).
+length.  ``hull-vs-standard`` reads its bubble and hull counts off a
+second prefix walk, ``_hull_walk``.  The chain checks (``phi-injective``,
+``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
+with its image under the chain map, off the chain walk of
+``invlat.lattice`` and build no lattice; a chain that breaks the chain map
+is reported as a counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from invlat.bruhat import (
-    _bubble_rows,
     _dominated_sets,
     _grow,
-    _prefix_count,
     _prefix_sets,
     _word_leq,
     bruhat_leq,
@@ -225,7 +224,12 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
                     _colour_step(colours, v),
                 )
 
-    yield from walk((), 0, {0: 1}, {0: 1})
+    # The memos refer to themselves: empty them even if the walk is abandoned.
+    try:
+        yield from walk((), 0, {0: 1}, {0: 1})
+    finally:
+        for memo in (br_fold, ao_fold, fields, tables):
+            memo.cache_clear()
 
 
 def _check_conjecture_a(n: int, expr: str) -> _Outcomes:
@@ -522,36 +526,63 @@ def _check_recurrences(n: int, expr: str) -> _Outcomes:
     return map(one, all_permutations(n))
 
 
-def _hull_counts(w: Permutation) -> tuple[int, int]:
-    """``(bubble, hull)``: the number of u that pass the rank test at w's
-    bubbles, and that fit in w's right hull, each by one prefix-set DP.
+def _hull_walk(n: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(bubble, hull)`` for every w of S_n, in lexicographic order:
+    the numbers of u that pass the rank test at w's bubbles, and that fit
+    in w's right hull.
 
-    u fits in the hull when, at every position i, u(i) lies between the
-    smallest value of w at positions >= i and the largest at positions
-    <= i.  Both bounds grow with i, so this holds exactly when every set S
-    of u's first i values lies in [1, max of w's first i values] and holds
-    [1, m - 1], where m is the smallest value of w after position i.
+    A depth-first walk over the prefixes of w carries both prefix-set DPs,
+    one ``_grow`` each per prefix.  Each keeps the sets S of u's first i
+    values by the set ``top`` of w's first i values alone, where w(i) = v:
+
+    - bubble: at each bubble (i, j), a j > v missing from ``top``, S holds
+      no more values >= j than ``top`` does;
+    - hull: u(i) lies between the smallest value of w at positions >= i
+      and the largest at positions <= i.  Both bounds grow with i, so S
+      lies in [1, max of ``top``] (``within``) and holds [1, m - 1]
+      (``need``), where m is the smallest value missing from ``top``.
+
+    The last value is forced and both DPs keep the full set, so the walk
+    stops at the prefixes of length n - 1.
+
+    >>> list(_hull_walk(3))
+    [(1, 1), (2, 2), (2, 2), (4, 4), (4, 4), (6, 6)]
     """
-    n = w.n
-    word = w.word
-    rows = _bubble_rows(w)
-    bubble, hull = [], []
-    for i in range(1, n + 1):
-        within = (1 << max(word[:i])) - 1
-        need = (1 << (min(word[i:]) - 1 if i < n else n)) - 1
-        bubble.append(
-            lambda s, row=rows[i - 1]: all((s >> j).bit_count() <= b for j, b in row)
-        )
-        hull.append(
-            lambda s, within=within, need=need: s | within == within
-            and s & need == need
-        )
-    return _prefix_count(n, bubble), _prefix_count(n, hull)
+
+    def walk(top, bubble, hull):
+        if top.bit_count() == n - 1:
+            yield sum(bubble.values()), sum(hull.values())
+            return
+        bubble, hull = _grow(bubble, n, 0), _grow(hull, n, 0)
+        for v in range(1, n + 1):
+            child = top | 1 << (v - 1)
+            if child == top:
+                continue
+            kept = bubble
+            for j in range(v, n):
+                if not child >> j & 1:
+                    bound = (child >> j).bit_count()
+                    kept = {
+                        s: c for s, c in kept.items() if (s >> j).bit_count() <= bound
+                    }
+            within = (1 << child.bit_length()) - 1
+            need = child & ~(child + 1)
+            yield from walk(
+                child,
+                kept,
+                {
+                    s: c
+                    for s, c in hull.items()
+                    if s | within == within and s & need == need
+                },
+            )
+
+    yield from walk(0, {0: 1}, {0: 1})
 
 
 def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
-    """The bubble test and Sjöstrand's right-hull criterion, as counts
-    against br(w) read off the count walk.
+    """The bubble test and Sjöstrand's right-hull criterion, as counts off
+    the hull walk against br(w) read off the count walk.
 
     The bubbles are a subset of the rank squares, so the bubble test
     accepts every u <= w: a bubble count of br(w) proves the two sets
@@ -560,9 +591,9 @@ def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
     the four patterns.
     """
 
-    def one(word, br, ao):
+    def one(walked, counts):
+        (word, br, _), (bubble, hull) = walked, counts
         w = Permutation(word)
-        bubble, hull = _hull_counts(w)
         avoiding = is_chromobruhatic(w)
         failure = None
         if bubble != br or hull < br or (hull == br) != avoiding:
@@ -575,7 +606,7 @@ def _check_hull_vs_standard(n: int, expr: str) -> _Outcomes:
             }
         return failure, {}
 
-    return starmap(one, _count_walk(n))
+    return map(one, _count_walk(n), _hull_walk(n))
 
 
 def _check_weak_chain(n: int, expr: str) -> _Outcomes:

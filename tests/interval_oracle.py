@@ -1,10 +1,14 @@
 """The retired ways of comparing, counting and enumerating [e, w], kept as
 independent oracles for ``invlat.bruhat``'s prefix-set test, prefix-set DP
-and breadth-first search.
+and breadth-first search, and for ``invlat.verify``'s hull walk.
 
+- ``rank_matrix`` and ``bubbles``: w's rank counts, and the squares where
+  comparing them decides u <= w;
 - ``rank_leq``: u <= w by comparing the full rank matrices;
-- ``bubble_word_leq``: u <= w by counting, at each of w's bubbles, u's
-  values at or above the bubble's column;
+- ``bubble_rows`` and ``bubble_word_leq``: u <= w by counting, at each of
+  w's bubbles, u's values at or above the bubble's column;
+- ``hull_counts``: the bubble and right-hull counts of one w, each by its
+  own prefix-set DP;
 - ``hull_rows``: w's right hull as one bitmask per row;
 - ``ryser_permanent``: br(w) as the permanent of the right-hull mask, exact
   only when w avoids 4231, 35142, 42513 and 351624;
@@ -18,9 +22,47 @@ from __future__ import annotations
 
 import itertools
 
-from invlat.bruhat import rank_matrix
 from invlat.permutation import Permutation
 from util import all_perms
+
+
+def rank_matrix(w: Permutation) -> tuple[tuple[int, ...], ...]:
+    """The table R[i][j] = #{m <= i : mw >= j} (1-based, stored 0-based).
+
+    Counts the rooks weakly north-east of each square; rows are weakly
+    increasing, columns weakly decreasing, and R[n][1] = n.
+    """
+    n = w.n
+    rows = []
+    prev = (0,) * n
+    for i in range(1, n + 1):
+        v = w(i)
+        row = tuple(prev[j] + (1 if v >= j + 1 else 0) for j in range(n))
+        rows.append(row)
+        prev = row
+    return tuple(rows)
+
+
+def bubbles(w: Permutation) -> frozenset[tuple[int, int]]:
+    """Squares with a rook strictly to the left in their row and strictly
+    below in their column; comparing rank counts there decides u <= w."""
+    winv = w.inverse()
+    return frozenset(
+        (i, j)
+        for i in range(1, w.n + 1)
+        for j in range(1, w.n + 1)
+        if w(i) < j and winv(j) > i
+    )
+
+
+def bubble_rows(w: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i - 1 holds (j - 1, R_w[i][j]) for each bubble (i, j) of w in
+    row i."""
+    wr = rank_matrix(w)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(w.n)]
+    for i, j in sorted(bubbles(w)):
+        rows[i - 1].append((j - 1, wr[i - 1][j - 1]))
+    return tuple(map(tuple, rows))
 
 
 def rank_leq(u: Permutation, w: Permutation) -> bool:
@@ -34,7 +76,7 @@ def rank_leq(u: Permutation, w: Permutation) -> bool:
 
 def bubble_word_leq(word, rows) -> bool:
     """Whether the permutation with one-line ``word`` is <= w, where
-    ``rows`` is ``invlat.bruhat._bubble_rows(w)``: at each bubble (i, j) of
+    ``rows`` is ``bubble_rows(w)``: at each bubble (i, j) of
     w, its first i values (bits of ``mask``) hold at most R_w[i][j] values
     >= j."""
     mask = 0
@@ -44,6 +86,48 @@ def bubble_word_leq(word, rows) -> bool:
             if (mask >> shift).bit_count() > bound:
                 return False
     return True
+
+
+def hull_counts(w: Permutation) -> tuple[int, int]:
+    """``(bubble, hull)``: the number of u that pass the rank test at w's
+    bubbles, and that fit in w's right hull, each by one prefix-set DP.
+
+    u fits in the hull when, at every position i, u(i) lies between the
+    smallest value of w at positions >= i and the largest at positions
+    <= i.  Both bounds grow with i, so this holds exactly when every set S
+    of u's first i values lies in [1, max of w's first i values] and holds
+    [1, m - 1], where m is the smallest value of w after position i.
+    """
+    n = w.n
+    word = w.word
+    rows = bubble_rows(w)
+    bubble, hull = [], []
+    for i in range(1, n + 1):
+        within = (1 << max(word[:i])) - 1
+        need = (1 << (min(word[i:]) - 1 if i < n else n)) - 1
+        bubble.append(
+            lambda s, row=rows[i - 1]: all((s >> j).bit_count() <= b for j, b in row)
+        )
+        hull.append(
+            lambda s, within=within, need=need: s | within == within
+            and s & need == need
+        )
+    return prefix_count(n, bubble), prefix_count(n, hull)
+
+
+def prefix_count(n: int, keeps) -> int:
+    """The words of S_n whose first i values form a set that ``keeps[i - 1]``
+    accepts, for every i, counted by a plain prefix-set DP."""
+    level = {0: 1}
+    for keep in keeps:
+        grown: dict[int, int] = {}
+        for s, count in level.items():
+            for v in range(n):
+                t = s | 1 << v
+                if t != s and keep(t):
+                    grown[t] = grown.get(t, 0) + count
+        level = grown
+    return sum(level.values())
 
 
 def hull_rows(w: Permutation) -> tuple[int, ...]:

@@ -7,24 +7,24 @@ from hypothesis import strategies as st
 
 from interval_oracle import (
     bitset_ideal_table,
+    bubble_rows,
     bubble_word_leq,
+    bubbles,
     filter_interval,
     hull_interval,
     hull_rows,
     length_counts,
     rank_leq,
+    rank_matrix,
     ryser_permanent,
 )
 from invlat.bruhat import (
-    _bubble_rows,
     _prefix_sets,
     _word_leq,
     bruhat_leq,
-    bubbles,
     distances_from,
     interval_length_counts,
     interval_size,
-    rank_matrix,
     two_sided_weak_covers,
 )
 from invlat.chromatic import _class_counts, acyclic_orientations
@@ -98,7 +98,7 @@ class TestLeqBackends:
         words = [u.word for u in all_perms(n)]
         below = 0
         for w in all_perms(n):
-            sets, rows = _prefix_sets(w), _bubble_rows(w)
+            sets, rows = _prefix_sets(w), bubble_rows(w)
             for word in words:
                 leq = _word_leq(word, sets)
                 assert leq == bubble_word_leq(word, rows), (word, w)
@@ -114,7 +114,7 @@ class TestLeqBackends:
         outcomes = set()
         for _ in range(300):
             w = Permutation(rng.sample(range(1, n + 1), n))
-            sets, rows = _prefix_sets(w), _bubble_rows(w)
+            sets, rows = _prefix_sets(w), bubble_rows(w)
             down = list(w.word)
             for _ in range(rng.randrange(n)):
                 i, j = sorted(rng.sample(range(n), 2))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from interval_oracle import hull_fillings, hull_rows, rank_leq
+from interval_oracle import hull_counts, hull_fillings, hull_rows, rank_leq
 import invlat
 from invlat import bruhat, chromatic, verify
 from invlat.bruhat import interval_size
@@ -182,11 +182,28 @@ class TestRunCheck:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_count_walk_empties_its_memos(self):
+        # The walk's memos refer to themselves; with the cycle collector
+        # off, they must be emptied when the walk is drained and when it is
+        # abandoned after one leaf, leaving only their small cycles.
+        gc.collect()
+        gc.disable()
+        try:
+            assert sum(1 for _ in verify._count_walk(8)) == 40320
+            drained = gc.collect()
+            walk = verify._count_walk(8)
+            next(walk)
+            del walk
+            abandoned = gc.collect()
+        finally:
+            gc.enable()
+        assert drained < 200 and abandoned < 200, (drained, abandoned)
+
     def test_dominated_sets_cache_memory(self):
         # The shared cache of dominated sets, after an n = 8 sweep and with
         # every top of S_8 in it: one frozenset per (top, n), 255 of them,
-        # about 360 KiB with Python 3.11.  The walk's own memos are freed
-        # with it (collected here, as its closures form cycles).
+        # about 360 KiB with Python 3.11.  The walk's own memos are emptied
+        # when it ends.
         bruhat._dominated_sets.cache_clear()
         tracemalloc.start()
         try:
@@ -224,20 +241,22 @@ class TestRunCheck:
         report = verify.run_check("hull-vs-standard", 5)
         assert report.passed, report.counterexamples
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_hull_counts_against_the_oracles(self, n):
-        # The bubble count is |[e, w]|, as the per-w interval DP counts it;
-        # the set-form hull count is the number of permutation matrices
-        # inside the hull rows.
-        for w in all_perms(n):
-            bubble, hull = verify._hull_counts(w)
+        # The walk's stream against the per-w DPs it replaced; the bubble
+        # count is |[e, w]|, as the per-w interval DP counts it, and the
+        # hull count is the number of permutation matrices inside the hull
+        # rows.
+        walked = list(verify._hull_walk(n))
+        assert len(walked) == math.factorial(n)
+        for w, (bubble, hull) in zip(all_perms(n), walked):
+            assert (bubble, hull) == hull_counts(w), w
             assert bubble == interval_size(w)
             assert hull == sum(1 for _ in hull_fillings(hull_rows(w)))
 
     def test_hull_overcounts_exactly_off_the_avoiders(self):
         over = set()
-        for w in all_perms(6):
-            bubble, hull = verify._hull_counts(w)
+        for w, (bubble, hull) in zip(all_perms(6), verify._hull_walk(6)):
             assert hull >= bubble
             if hull > bubble:
                 over.add(w.word)
@@ -253,21 +272,38 @@ class TestRunCheck:
             {"w": "4231", "br": 20, "bubble": 20, "hull": 24, "avoiding": True}
         ]
 
-    def test_hull_vs_standard_runs_two_dps_per_w(self, monkeypatch):
-        # The bubble and hull counts are one prefix-set DP each; br comes
-        # from the count walk, which runs none.
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hull_walk_work(self, monkeypatch, n):
+        # Two _grow calls, one per DP, per prefix of length 0..n-2, and
+        # none per w; the scan adds the count walk's calls, one at n = 5.
         calls = []
-        real = verify._prefix_count
+        real = verify._grow
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        for module in (verify, bruhat):
-            monkeypatch.setattr(module, "_prefix_count", counted)
-        outcomes = list(verify._check_hull_vs_standard(5, "canonical"))
-        assert all(failure is None for failure, _ in outcomes)
-        assert len(outcomes) == 120 and len(calls) == 240
+        monkeypatch.setattr(verify, "_grow", counted)
+        assert sum(1 for _ in verify._hull_walk(n)) == math.factorial(n)
+        prefixes = [math.factorial(n) // math.factorial(n - k) for k in range(n - 1)]
+        assert len(calls) == 2 * sum(prefixes)
+        if n == 5:
+            assert len(calls) == 172
+            calls.clear()
+            outcomes = list(verify._check_hull_vs_standard(5, "canonical"))
+            assert all(failure is None for failure, _ in outcomes)
+            assert len(outcomes) == 120 and len(calls) == 173
+
+    def test_hull_walk_memory(self):
+        # The walk holds one pair of DP levels per prefix on its path, and
+        # nothing per w.
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in verify._hull_walk(8)) == 40320
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_absolute_length_from_the_words(self, n):
