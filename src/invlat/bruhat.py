@@ -44,15 +44,19 @@ def _prefix_sets(w: Permutation) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
+# _BIT[v] == 1 << (v - 1), the bit of value v, for every value a byte holds.
+_BIT = (0,) + tuple(1 << v for v in range(255))
+
+
 def _word_leq(word: Sequence[int], sets: Sequence[Container[int]]) -> bool:
     """Whether the permutation with one-line ``word`` is <= w, where
     ``sets`` is ``_prefix_sets(w)``: by Ehresmann's criterion, the set of
     its first i values (bits of ``mask``) is among w's dominated sets of
-    size i, for every i.  A caller testing many words against one w reads
-    the sets once."""
+    size i, for every i.  ``word`` may be a tuple of ints or ``bytes``.  A
+    caller testing many words against one w reads the sets once."""
     mask = 0
     for v, keep in zip(word, sets):
-        mask |= 1 << (v - 1)
+        mask |= _BIT[v]
         if mask not in keep:
             return False
     return True

@@ -14,14 +14,17 @@ refer to elements by their index in ``IntersectionLattice.elements``, and
 ``partition_text`` turns an element into text only for printing.  Merging
 two blocks of an element gives one of its covers exactly when some
 inversion edge crosses them, and the cover's label is the largest
-hyperplane index among the crossing edges (``_merge_labeller``).
-``_chain_walk`` follows that rule along the decreasing chains alone, with
-no lattice, and yields each chain with its image under the chain map and
-its top as an ``owner`` tuple, the block bitmask of each point.  It is the
+hyperplane index among the crossing edges (``_merge_labeller``, which
+memoises it per block pair).  ``_chain_walk`` follows that rule along the
+decreasing chains alone, with no lattice, reading the memo first and
+computing a label only on a miss, and yields each chain with its image
+under the chain map, as ``bytes``, and its top as an ``owner`` tuple, the
+block bitmask of each point.  It is the
 lattice's only enumeration: every element tops at least one decreasing
 chain, so ``IntersectionLattice`` takes its elements from the distinct
 owners, each turned into an element once, and its covers from the same
-rule, and checks that the covers of the tops are tops.
+rule, checks that the covers of the tops are tops, and keeps each chain
+with its image as a tuple of ints.
 """
 
 from __future__ import annotations
@@ -73,10 +76,12 @@ def _hyperplanes(
 
 def _merge_labeller(
     n: int, hyperplanes: Sequence[Transposition]
-) -> Callable[[int, int], int]:
-    """``merge_label(a, b)``: the label of merging blocks a and b, the
-    largest index of a hyperplane whose edge crosses them, or 0 when none
-    does; memoised on the pair."""
+) -> tuple[dict[int, int], Callable[[int, int], int]]:
+    """``(labels, merge_label)``: ``merge_label(a, b)`` is the label of
+    merging blocks a and b, the largest index of a hyperplane whose edge
+    crosses them, or 0 when none does, and it stores that label in
+    ``labels`` under the key ``a << n | b``.  A caller in a hot loop reads
+    ``labels`` first and calls ``merge_label`` only on a miss."""
     edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in hyperplanes]
     labels: dict[int, int] = {}
 
@@ -93,12 +98,12 @@ def _merge_labeller(
             labels[key] = label
         return label
 
-    return merge_label
+    return labels, merge_label
 
 
 def _chain_walk(
     w: Permutation, hyperplanes: Sequence[Transposition]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], bytes, tuple[int, ...]]]:
     """Yield ``(labels, image word, owner)`` for every label-decreasing
     saturated chain C from the bottom, every length included, in
     depth-first preorder with the labels tried ascending: that is,
@@ -108,37 +113,43 @@ def _chain_walk(
     labels strictly increase.  Appending j to a chain is a cover exactly
     when t_j = (a b) joins two different blocks A and B of its top and j is
     the largest index of a hyperplane crossing A and B, the rule the
-    lattice labels its covers by.  ``owner[v - 1]`` is the bitmask of the
-    block of point v in the chain's top; listing the distinct blocks in
-    point order gives the top as a lattice element.  The image word is that
-    of p(C) * w, where p(C) = t_{j_1} ... t_{j_m}.  Each label swaps the
-    values a and b of p(C), so it swaps the values w(a) and w(b) of the
-    image; a and b lie in different cycles of p(C), so the cycles of p(C)
-    are the blocks.  The walk keeps the image as ``bytes`` and swaps its
-    two values with one ``bytes.translate`` table per hyperplane; it
-    yields the image as a tuple of ints.  It keeps the chains still to
-    visit on an explicit stack, each chain's extensions pushed in
-    descending label order so that they pop ascending.
+    lattice labels its covers by; the walk reads the label from
+    ``_merge_labeller``'s memo and computes it only on a miss.
+    ``owner[v - 1]`` is the bitmask of the block of point v in the chain's
+    top; listing the distinct blocks in point order gives the top as a
+    lattice element.  The image word is that of p(C) * w, where
+    p(C) = t_{j_1} ... t_{j_m}.  Each label swaps the values a and b of
+    p(C), so it swaps the values w(a) and w(b) of the image; a and b lie in
+    different cycles of p(C), so the cycles of p(C) are the blocks.  The
+    image is ``bytes``, byte i - 1 holding its value at i, and is yielded
+    as such; each label swaps its two values with one ``bytes.translate``
+    table.  The tables, and the steps with labels above each start, are
+    built once per w.  The walk keeps the chains still to visit on an
+    explicit stack, each chain's extensions pushed in descending label
+    order so that they pop ascending.
     """
     n = w.n
-    merge_label = _merge_labeller(n, hyperplanes)
-    steps = []
-    for j, (a, b) in enumerate(hyperplanes, 1):
-        swap = bytearray(range(256))
-        swap[w(a)], swap[w(b)] = w(b), w(a)
-        steps.append((j, a - 1, b - 1, bytes(swap)))
-    # The steps with labels above ``start`` are the first k - start of
-    # these, for k hyperplanes.
-    descending = steps[::-1]
-    k = len(steps)
+    memo, merge_label = _merge_labeller(n, hyperplanes)
+    descending = [
+        (j, a - 1, b - 1, bytes.maketrans(bytes((w(a), w(b))), bytes((w(b), w(a)))))
+        for j, (a, b) in reversed(list(enumerate(hyperplanes, 1)))
+    ]
+    # after[start] lists the steps with labels above ``start``, descending.
+    k = len(descending)
+    after = [descending[: k - start] for start in range(k + 1)]
 
     stack = [((), bytes(w.word), tuple(1 << v for v in range(n)), 0)]
     while stack:
         labels, image, owner, start = stack.pop()
-        yield labels, tuple(image), owner
-        for j, a, b, swap in descending[: k - start]:
+        yield labels, image, owner
+        for j, a, b, swap in after[start]:
             block_a, block_b = owner[a], owner[b]
-            if block_a != block_b and merge_label(block_a, block_b) == j:
+            if block_a == block_b:
+                continue
+            label = memo.get(block_a << n | block_b)
+            if label is None:
+                label = merge_label(block_a, block_b)
+            if label == j:
                 merged = block_a | block_b
                 stack.append(
                     (
@@ -159,7 +170,9 @@ class IntersectionLattice:
     among the hyperplanes first merged by it.  ``chains`` holds one
     ``(labels, image word, top index)`` per decreasing chain C, in label
     order, as ``_chain_walk`` yields them: the image is the chain map's
-    p(C) * w, which ``cli.analyze`` tests against w.  The walk gives each
+    p(C) * w, turned from the walk's ``bytes`` into a tuple of ints, the
+    form of the interval's words, which ``cli.analyze`` tests against w and
+    looks the missed elements up in.  The walk gives each
     chain's top as its ``owner`` tuple; each distinct owner is turned into
     its element once, and chains with the same top share that element's
     index.  ``elements`` holds the distinct chain tops sorted by rank, then
@@ -192,12 +205,12 @@ class IntersectionLattice:
         position = {x: k for k, x in enumerate(self.elements)}
         index = {owner: position[top] for owner, top in tops.items()}
         self.chains: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] = tuple(
-            (labels, image, index[owner]) for labels, image, owner in chains
+            (labels, tuple(image), index[owner]) for labels, image, owner in chains
         )
 
         # Blocks stay ordered by their smallest points: merging blocks i < j
         # puts a | b at i, as it keeps a's smallest point.
-        merge_label = _merge_labeller(n, self.hyperplanes)
+        _, merge_label = _merge_labeller(n, self.hyperplanes)
         covers_up = []
         for x in self.elements:
             ups = []

@@ -15,7 +15,7 @@ each one from its DPs, with one packed weight table per value set of that
 length.  ``hull-vs-standard`` reads its bubble and hull counts off a
 second prefix walk, ``_hull_walk``.  The chain checks (``phi-injective``,
 ``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
-with its image under the chain map, off the chain walk of
+with its image under the chain map as ``bytes``, off the chain walk of
 ``invlat.lattice`` and build no lattice; a chain that breaks the chain map
 is reported as a counterexample (w, labels, reason).
 """
@@ -256,19 +256,21 @@ def _check_conjecture_b(n: int, expr: str) -> _Outcomes:
 
 def _phi_images(
     w: Permutation, expression: Optional[tuple[int, ...]] = None
-) -> tuple[Optional[dict], dict[tuple[int, ...], tuple[int, ...]]]:
+) -> tuple[Optional[dict], dict[bytes, tuple[int, ...]]]:
     """Read every decreasing chain of w with its image under phi off the
     chain walk, with no lattice.
 
     Each image is tested against w by Ehresmann's criterion, with w's
     prefix sets read once.  Returns the first chain whose image is not
     below w or repeats an earlier chain's image, as a counterexample (w,
-    labels, reason), or None; and the image words met, each with its
-    chain's labels.
+    labels, reason), or None; and the image words met, in chain order, each
+    with its chain's labels.  The images are keyed as the walk yields them,
+    as ``bytes``: turn them into tuples before looking up words of the
+    interval among them.
     """
     expr = expression if expression is not None else reduced_expression(w)
     sets = _prefix_sets(w)
-    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    images: dict[bytes, tuple[int, ...]] = {}
     for labels, image, _ in _chain_walk(w, _hyperplanes(w, expr)):
         reason = None
         if not _word_leq(image, sets):
@@ -316,7 +318,7 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
         if found is None:
             surjective = len(images) == br
             if surjective != avoiding:
-                missed = missed_elements(w, images)
+                missed = missed_elements(w, set(map(tuple, images)))
                 found = {
                     "w": str(w),
                     "surjective": surjective,

@@ -59,7 +59,8 @@ class TestBuildLattice:
         lattice = build_lattice(Permutation.identity(4))
         assert len(lattice.elements) == 1
         assert lattice.elements[0] == (1, 2, 4, 8)
-        assert list(walk(lattice)) == [((), (1, 2, 3, 4), (1, 2, 4, 8))]
+        assert list(walk(lattice)) == [((), bytes((1, 2, 3, 4)), (1, 2, 4, 8))]
+        assert lattice.chains == (((), (1, 2, 3, 4), 0),)
 
     def test_golden_elements_and_covers(self):
         lattice = build_lattice(W4132, (1, 2, 3, 2))
@@ -116,8 +117,10 @@ def assert_walk_matches_cover_dfs(lattice):
     top element.  (a b) * x swaps positions a and b of x, so the image
     takes w through the labels from the last one back.  The walk gives the
     top as its owner tuple: ``owner[v - 1]`` must be the block of the DFS
-    element that holds point v.  Every image must be a tuple of ints, as a
-    ``bytes`` image would match no word of the interval."""
+    element that holds point v.  The walk yields each image as ``bytes``;
+    the lattice must keep it as a tuple of ints, as ``cli.analyze`` looks
+    the interval's words up among the images and a ``bytes`` image would
+    match none of them."""
     expected = []
     for path, labels in decreasing_chains(lattice):
         word = list(lattice.w.word)
@@ -127,15 +130,17 @@ def assert_walk_matches_cover_dfs(lattice):
         expected.append((labels, tuple(word), lattice.elements[path[-1]]))
     walked = list(walk(lattice))
     assert [(labels, word) for labels, word, _ in walked] == [
-        (labels, word) for labels, word, _ in expected
+        (labels, bytes(word)) for labels, word, _ in expected
     ]
     for (_, word, owner), (_, _, top) in zip(walked, expected):
-        assert type(word) is tuple and all(type(v) is int for v in word)
+        assert type(word) is bytes
         assert len(owner) == lattice.w.n
         for v, block in enumerate(owner, 1):
             assert block in top and block >> (v - 1) & 1
     kept = [(labels, word, lattice.elements[k]) for labels, word, k in lattice.chains]
     assert kept == expected
+    for _, word, _ in lattice.chains:
+        assert type(word) is tuple and all(type(v) is int for v in word)
 
 
 class TestDecreasingChains:
@@ -187,6 +192,38 @@ class TestDecreasingChains:
         for w in all_perms(4):
             for expr in all_reduced_expressions(w):
                 assert_walk_matches_cover_dfs(build_lattice(w, expr))
+
+    def test_each_block_pair_is_labelled_once(self, monkeypatch):
+        # The walk reads the memo first, so it computes each label once: as
+        # many merge_label calls as memo entries, and fewer than the
+        # candidate steps, which join two different blocks.
+        real = invlat.lattice._merge_labeller
+        made = []
+
+        def counting(n, hyperplanes):
+            memo, merge_label = real(n, hyperplanes)
+            calls = []
+
+            def counted(a, b):
+                calls.append((a, b))
+                return merge_label(a, b)
+
+            made.append((memo, calls))
+            return memo, counted
+
+        monkeypatch.setattr(invlat.lattice, "_merge_labeller", counting)
+        total = candidates = 0
+        for w in all_perms(5):
+            made.clear()
+            hyperplanes = invlat.lattice._hyperplanes(w, reduced_expression(w))
+            for labels, _, owner in _chain_walk(w, hyperplanes):
+                start = labels[-1] if labels else 0
+                for a, b in hyperplanes[start:]:
+                    candidates += owner[a - 1] != owner[b - 1]
+            ((memo, calls),) = made
+            assert len(calls) == len(set(calls)) == len(memo), w
+            total += len(calls)
+        assert 0 < total < candidates
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chain_count_is_orientation_count(self, n):

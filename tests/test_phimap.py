@@ -112,11 +112,25 @@ def injective(w: Permutation, expression=None) -> bool:
 
 
 def surjective(w: Permutation) -> tuple[bool, tuple[Permutation, ...]]:
-    """Whether the images fill [e, w], by the elements they miss."""
+    """Whether the images fill [e, w], by the elements they miss; the
+    images come as ``bytes`` and are looked up as tuples of ints, the form
+    of the interval's words."""
     found, images = _phi_images(w)
     assert found is None, found
-    missed = missed_elements(w, images)
+    missed = missed_elements(w, set(map(tuple, images)))
     return not missed, missed
+
+
+def assert_images_match_chains(lattice) -> None:
+    """``_phi_images`` gives the labels and images of the chains of the
+    lattice, built with w's canonical expression, in the same order, with
+    each image as the ``bytes`` of the lattice's tuple."""
+    found, images = _phi_images(lattice.w)
+    assert found is None, found
+    assert all(type(image) is bytes for image in images)
+    assert [(labels, tuple(image)) for image, labels in images.items()] == [
+        (labels, image) for labels, image, _ in lattice.chains
+    ]
 
 
 class TestInjectivity:
@@ -127,6 +141,11 @@ class TestInjectivity:
     def test_canonical_expression(self, n):
         for w in all_perms(n):
             assert injective(w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_images_match_lattice_chains(self, n):
+        for w in all_perms(n):
+            assert_images_match_chains(build_lattice(w))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_reduced_expression(self, n):

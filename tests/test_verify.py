@@ -415,6 +415,31 @@ class TestRunCheck:
         ]
         assert report.payload["failure_count"] == 1
 
+    def test_walk_br_counterexample_lists_missed_words(self, monkeypatch):
+        # The real walk over S_4 with br moved by -2 at the non-avoider 4231
+        # (br 20, re 18): its 18 chains then count as onto [e, w], and the
+        # report lists the two words they really miss.  Were the walk's
+        # bytes images looked up as they come, none of the 20 words would
+        # be found, and the first 5 would be listed.
+        real = verify._count_walk
+
+        def walk(n):
+            for word, br, ao in real(n):
+                yield word, br - 2 * (word == (4, 2, 3, 1)), ao
+
+        monkeypatch.setattr(verify, "_count_walk", walk)
+        expected = {
+            "w": "4231",
+            "surjective": True,
+            "avoiding": False,
+            "missed": ["1324", "2314"],
+        }
+        report = verify.run_check("phi-surjective-iff", 4, cap=None)
+        assert [list(f.items()) for f in report.counterexamples] == [
+            list(expected.items())
+        ]
+        assert report.payload["failure_count"] == 1
+
     def test_summary_line(self):
         report = verify.run_check("weak-chain", 3)
         assert report.summary().startswith("PASS weak-chain n=3")
