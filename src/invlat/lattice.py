@@ -68,8 +68,10 @@ def _hyperplanes(
 ) -> tuple[Transposition, ...]:
     """H_1, ..., H_k as transpositions, read off ``expression``, which must
     be a reduced expression for w."""
+    # reflection_sequence refuses a repeated reflection, so the expression
+    # is reduced, and its length is w's once it evaluates to w.
     hyperplanes = reflection_sequence(w.n, expression)
-    if evaluate_word(w.n, expression) != w or len(expression) != w.length():
+    if evaluate_word(w.n, expression) != w:
         raise ValueError(f"{tuple(expression)!r} is not a reduced expression for {w}")
     return hyperplanes
 

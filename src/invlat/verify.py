@@ -466,9 +466,7 @@ def _recurrence_failures(w: Permutation, found, tables) -> Optional[dict]:
     None when ``find_reduction_pair`` found none); ``tables[m][word]`` holds
     (br, ao) for the words of S_m."""
     if found is None:
-        if not w.is_identity():
-            return {"w": str(w), "reason": "no reduction pair found"}
-        return None
+        return {"w": str(w), "reason": "no reduction pair found"}
     # The guarantee is about the first descents of w and its inverse.
     x_y = first_descent_rooks(w)
     xbar_ybar = first_descent_rooks(w.inverse())

@@ -85,11 +85,11 @@ class TestBuildLattice:
         assert got == GOLDEN_COVERS
 
     def test_non_reduced_expression_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not reduced"):
             build_lattice(W4132, (1, 1, 2, 3, 3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a reduced expression for 4132"):
             build_lattice(W4132, (1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a reduced expression for 4132"):
             build_lattice(W4132, (2, 1, 3, 2))  # evaluates elsewhere
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

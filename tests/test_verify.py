@@ -17,6 +17,7 @@ from invlat.bruhat import interval_size
 from invlat.chromatic import IntPoly
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation
+from payload_pins import GATED, PINS, ceiling_rows
 from util import all_perms
 from walk_oracle import two_level_walk
 
@@ -66,31 +67,17 @@ class TestRunCheck:
         report = verify.run_check("recurrences", 4)
         assert report.payload["light"] + report.payload["heavy"] == 22
 
-    # Every check's full payload at n = 5, key order included, as the
-    # reports had it before the per-w data was computed once per check.
-    PAYLOADS_N5 = {
-        "betti": {"avoiding": 101, "failure_count": 0},
-        "characterization": {"failure_count": 0},
-        "chromatic-identity": {"failure_count": 0},
-        "conjectureA": {"equal": 101, "failure_count": 0},
-        "conjectureB": {"avoiding": 101, "failure_count": 0},
-        "going-down": {"failure_count": 0},
-        "hull-vs-standard": {"failure_count": 0},
-        "opy": {"smooth": 88, "failure_count": 0},
-        "phi-injective": {"failure_count": 0},
-        "phi-surjective-iff": {"avoiding": 101, "failure_count": 0},
-        "recurrences": {"heavy": 20, "light": 80, "failure_count": 0},
-        "weak-chain": {"chromobruhatic": 101, "failure_count": 0},
-    }
-
     def test_payload_pins_cover_every_check(self):
-        assert set(self.PAYLOADS_N5) == set(verify.CHECKS)
+        # A raised ceiling, or a new check, needs its row in the table.
+        n5 = {(check, 5, "canonical") for check in verify.CHECKS}
+        assert set(PINS) == n5 | set(ceiling_rows())
+        assert GATED <= set(verify.CHECKS)
 
-    @pytest.mark.parametrize("check", sorted(PAYLOADS_N5))
+    @pytest.mark.parametrize("check", sorted(verify.CHECKS))
     def test_full_payload_at_n5(self, check):
         report = verify.run_check(check, 5)
         assert report.passed
-        assert list(report.payload.items()) == list(self.PAYLOADS_N5[check].items())
+        assert list(report.payload.items()) == list(PINS[check, 5, "canonical"].items())
 
     @pytest.mark.parametrize(
         "check", ["phi-injective", "phi-surjective-iff", "going-down"]
@@ -530,6 +517,23 @@ class TestRecurrenceFailures:
             for w, target, kind in self.PAIRS
         ]
         assert report.payload == {"heavy": 3, "light": 19, "failure_count": 22}
+
+    @pytest.mark.parametrize(
+        "name, w, light, failure",
+        [
+            ("find_reduction_pair", "4132", 18, "no reduction pair found"),
+            ("first_descent_rooks", "4321", 19,
+             "no pair at the first descents of w or inverse"),
+        ],
+        ids=["find_reduction_pair", "first_descent_rooks"],
+    )
+    def test_missing_pair(self, monkeypatch, name, w, light, failure):
+        # One lookup finds nothing at one avoider; 4321 is its own inverse.
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda v: None if str(v) == w else real(v))
+        report = verify.run_check("recurrences", 4, cap=None)
+        assert report.counterexamples == [{"w": w, "reason": failure}]
+        assert report.payload == {"heavy": 3, "light": light, "failure_count": 1}
 
 
 class TestBettiFailures:
