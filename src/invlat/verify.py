@@ -1,29 +1,31 @@
 """Exhaustive desk-scale verification checks over all of S_n.
 
 ``CHECKS`` holds each check's largest n and its scan.  A scan walks S_n in
-lexicographic order and yields, for each w, a counterexample or None and
-the payload counts of w, both from one computation of w's data, and
-``run_check`` collects them in one loop.  Five scans read br(w) off
-``_count_walk``, the only source of br in the sweeps: the count-only
-sweeps (``conjectureA``, ``conjectureB``, ``recurrences``), which read
-ao(w) off it too, and ``phi-surjective-iff`` and ``hull-vs-standard``.
-The walk is one depth-first walk over the prefixes of S_n that carries the
-prefix-set DP for br and the colouring DP for ao side by side, so words
-that share a prefix share its work and no table of n! entries is kept.  It
-stops at the prefixes of length n - 4 and reads the 24 words that complete
-each one from its DPs, with one packed weight table per value set of that
-length.  ``hull-vs-standard`` reads its bubble and hull counts off a
-second prefix walk, ``_hull_walk``.  The chain checks (``phi-injective``,
-``phi-surjective-iff``, ``going-down``) read the decreasing chains, each
-with its image under the chain map as ``bytes``, off the chain walk of
-``invlat.lattice`` and build no lattice; a chain that breaks the chain map
-is reported as a counterexample (w, labels, reason).
+lexicographic order and yields, for each w or block of consecutive w, a
+counterexample or None and the payload counts, both from one computation
+of w's data, and ``run_check`` collects them in one loop.  Five scans read
+br(w) off the count walk ``_count_blocks``, the only source of br in the
+sweeps: the count-only sweeps (``conjectureA``, ``conjectureB``,
+``recurrences``), which read ao(w) off it too, and ``phi-surjective-iff``
+and ``hull-vs-standard``.  It is one depth-first walk over the prefixes of
+S_n that carries the DPs for br and ao side by side, so words that share a
+prefix share its work and no table of n! entries is kept, and it yields br
+and ao of the 24 words that complete each prefix of length n - 4 as one
+packed block.  ``conjectureA`` reads the blocks whole; the other scans
+read them one word at a time from ``_count_walk``.  ``hull-vs-standard``
+reads its bubble and hull counts off a second prefix walk, ``_hull_walk``.
+The chain checks (``phi-injective``, ``phi-surjective-iff``,
+``going-down``) read the decreasing chains, each with its image under the
+chain map as ``bytes``, off the chain walk of ``invlat.lattice`` and build
+no lattice; a chain that breaks the chain map is reported as a
+counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import permutations, starmap
 from math import factorial
@@ -67,7 +69,8 @@ from invlat.permutation import (
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
-# A scan yields (failure or None, payload counts) per permutation, in order.
+# A scan yields (failure or None, payload counts) per w, or per block of
+# consecutive w that has no failure, in order.
 _Outcomes = Iterable[tuple[Optional[dict[str, Any]], dict[str, int]]]
 
 
@@ -106,20 +109,21 @@ class Report:
         )
 
 
-def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield ``(word, br, ao)`` for every w of S_n, in lexicographic order.
+def _count_blocks(n: int) -> Iterator[tuple[tuple[int, ...], list, int, int]]:
+    """Yield ``(prefix, tails, br, ao)`` for every prefix of length n - 4 of
+    S_n (for n <= 4, one block at the root), in lexicographic order: the
+    tails that complete it, in lexicographic order, and br and ao of the
+    words they make, each packed into one integer with one
+    ``factorial(n).bit_length()``-bit field per tail, the first lowest.
 
-    A depth-first walk over the prefixes of w carries two DPs down: the
-    prefix sets of the u <= w so far (``interval_length_counts`` with plain
+    A depth-first walk over the prefixes carries two DPs down: the prefix
+    sets of the u <= w so far (``interval_length_counts`` with plain
     counts), and the colourings of the prefix's inversion graph by their
-    classes' maxima (``chromatic._colour_step``).  It stops at the prefixes
-    of length n - 4, whose missing values are m_1 < m_2 < m_3 < m_4, and
-    reads the 24 leaves that complete each one off its DPs, with no child
-    built (for n <= 4 it stops at the root, with n values left and n!
-    leaves).  Each DP state s weighs one packed integer, one ``width``-bit
-    field per completion sigma in lexicographic order, taken from a table
-    built once per value set of the prefix; one multiply-add pass over the
-    states then reads all 24 leaves.
+    classes' maxima (``chromatic._colour_step``).  At a prefix of length
+    n - 4, whose missing values are m_1 < m_2 < m_3 < m_4, it builds no
+    child: each DP state s weighs one packed integer, taken from a table
+    built once per value set of the prefix, and one multiply-add pass over
+    the states reads all 24 leaves.
 
     Both weights depend on s only through its gap counts, the numbers of
     values of a bitmask in [m_g, m_(g+1)) for g = 0..4 (m_0 = 1,
@@ -138,18 +142,19 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
       left) is dropped once each value set's table is built.
 
     Every final field lies in [1, n!], so the packed sums unpack exactly
-    even though the ao weights of single states are signed.
+    even though the ao weights of single states are signed.  At n = 3 a
+    field is 3 bits wide, one octal digit, and the first word is the last
+    digit:
 
-    >>> list(_count_walk(3))  # doctest: +NORMALIZE_WHITESPACE
-    [((1, 2, 3), 1, 1), ((1, 3, 2), 2, 2), ((2, 1, 3), 2, 2),
-     ((2, 3, 1), 4, 4), ((3, 1, 2), 4, 4), ((3, 2, 1), 6, 6)]
+    >>> [(prefix, len(tails), oct(br), oct(ao))
+    ...  for prefix, tails, br, ao in _count_blocks(3)]
+    [((), 6, '0o644221', '0o644221')]
     """
     k = min(n, 4)  # values left at the prefixes whose leaves are read
     full = (1 << n) - 1
     # sf[j] is the weight (-1)^(n+j) j! of a colouring with j classes in ao.
     sf = [(-1) ** (n + j) * factorial(j) for j in range(n + 1)]
     width = factorial(n).bit_length()
-    field = (1 << width) - 1
     # The completions in lexicographic order, as orders of 0..k-1 standing
     # for m_1 < ... < m_k.
     orders = list(permutations(range(k)))
@@ -207,10 +212,7 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             tails, brt, aot = tables(top)
             br = sum(c * brt[s] for s, c in ideals.items())
             ao = sum(c * aot[s] for s, c in colours.items())
-            for tail in tails:
-                yield word + tail, br & field, ao & field
-                br >>= width
-                ao >>= width
+            yield word, tails, br, ao
             return
         grown = _grow(ideals, n, 0)
         for v in range(1, n + 1):
@@ -232,14 +234,38 @@ def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             memo.cache_clear()
 
 
-def _check_conjecture_a(n: int, expr: str) -> _Outcomes:
-    def one(word, br, re):
-        failure = None
-        if re > br:
-            failure = {"w": str(Permutation(word)), "re": re, "br": br}
-        return failure, {"equal": int(re == br)}
+def _unpack(n: int, count: int, packed: int) -> list[int]:
+    """The first ``count`` fields of a packed sum of ``_count_blocks(n)``,
+    lowest first."""
+    width = factorial(n).bit_length()
+    field = (1 << width) - 1
+    return [packed >> shift & field for shift in range(0, width * count, width)]
 
-    return starmap(one, _count_walk(n))
+
+def _count_walk(n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield ``(word, br, ao)`` for every w of S_n, in lexicographic order:
+    the blocks of ``_count_blocks``, one leaf at a time.
+
+    >>> list(_count_walk(3))  # doctest: +NORMALIZE_WHITESPACE
+    [((1, 2, 3), 1, 1), ((1, 3, 2), 2, 2), ((2, 1, 3), 2, 2),
+     ((2, 3, 1), 4, 4), ((3, 1, 2), 4, 4), ((3, 2, 1), 6, 6)]
+    """
+    with closing(_count_blocks(n)) as blocks:
+        for prefix, tails, br, ao in blocks:
+            brs, aos = (_unpack(n, len(tails), packed) for packed in (br, ao))
+            yield from zip(map(prefix.__add__, tails), brs, aos)
+
+
+def _check_conjecture_a(n: int, expr: str) -> _Outcomes:
+    # One outcome per block of 24 words, unless one of them fails.
+    for prefix, tails, br, ao in _count_blocks(n):
+        brs, res = (_unpack(n, len(tails), packed) for packed in (br, ao))
+        if all(map(int.__le__, res, brs)):
+            yield None, {"equal": sum(map(int.__eq__, res, brs))}
+            continue
+        for tail, br, re in zip(tails, brs, res):
+            failure = {"w": str(Permutation(prefix + tail)), "re": re, "br": br}
+            yield failure if re > br else None, {"equal": int(re == br)}
 
 
 def _check_conjecture_b(n: int, expr: str) -> _Outcomes:

@@ -153,6 +153,17 @@ class TestRunCheck:
             assert calls == {"_grow": 401, "_colour_step": 2080}
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_conjecture_a_yields_per_block(self, n):
+        # On a passing sweep conjectureA yields one outcome per block of
+        # 24 words, one per prefix of length n - 4 (one at the root for
+        # n <= 4), never one per word.
+        outcomes = list(verify._check_conjecture_a(n, "canonical"))
+        assert len(outcomes) == max(1, math.factorial(n) // 24)
+        assert all(failure is None for failure, _ in outcomes)
+        if n == 8:
+            assert len(outcomes) == 1680
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_count_walk_matches_the_two_level_walk(self, n):
         # Folding the last four levels from packed tables yields exactly
         # the stream of the walk that folds the last two in closed form.
@@ -171,20 +182,23 @@ class TestRunCheck:
 
     def test_count_walk_empties_its_memos(self):
         # The walk's memos refer to themselves; with the cycle collector
-        # off, they must be emptied when the walk is drained and when it is
-        # abandoned after one leaf, leaving only their small cycles.
+        # off, they must be emptied when the walk is drained, when the
+        # block stream is abandoned after one block, and when the per-leaf
+        # view is abandoned after one leaf, leaving only their small cycles.
         gc.collect()
         gc.disable()
         try:
             assert sum(1 for _ in verify._count_walk(8)) == 40320
             drained = gc.collect()
-            walk = verify._count_walk(8)
-            next(walk)
-            del walk
-            abandoned = gc.collect()
+            abandoned = []
+            for stream in (verify._count_blocks, verify._count_walk):
+                walk = stream(8)
+                next(walk)
+                del walk
+                abandoned.append(gc.collect())
         finally:
             gc.enable()
-        assert drained < 200 and abandoned < 200, (drained, abandoned)
+        assert drained < 200 and max(abandoned) < 200, (drained, abandoned)
 
     def test_dominated_sets_cache_memory(self):
         # The shared cache of dominated sets, after an n = 8 sweep and with
@@ -345,10 +359,20 @@ class TestRunCheck:
             for word in words:
                 yield word, 10, 10 + (word in bad)
 
-        monkeypatch.setattr(verify, "_count_walk", walk)
+        def blocks(n):
+            # The same leaves as one block at the root, for conjectureA.
+            width = math.factorial(n).bit_length()
+            packed = [
+                sum(leaf[i] << (width * f) for f, leaf in enumerate(walk(n)))
+                for i in (1, 2)
+            ]
+            yield (), words, *packed
+
         if check == "conjectureA":
+            monkeypatch.setattr(verify, "_count_blocks", blocks)
             failing = [w for w in words if w in bad]
         else:
+            monkeypatch.setattr(verify, "_count_walk", walk)
             failing = [
                 w for w in words if (w in bad) == is_chromobruhatic(Permutation(w))
             ]
@@ -368,6 +392,36 @@ class TestRunCheck:
         assert capped.counterexamples == full.counterexamples[:3]
         assert capped.truncated
         assert capped.payload == full.payload
+
+    def test_conjecture_a_reports_two_leaves_of_one_block(self, monkeypatch):
+        # ao raised above br at fields 3 and 17 of the block of the prefix
+        # 3 of S_5: exactly those two words fail, in field order, and every
+        # other word of the block keeps its outcome.
+        real = verify._count_blocks
+        width = math.factorial(5).bit_length()
+        moved = {}
+
+        def blocks(n):
+            for prefix, tails, br, ao in real(n):
+                if prefix == (3,):
+                    for f in (3, 17):
+                        b, a = (x >> (width * f) & (1 << width) - 1 for x in (br, ao))
+                        ao += (b + 1 - a) << (width * f)
+                        moved[prefix + tails[f]] = b
+                yield prefix, tails, br, ao
+
+        monkeypatch.setattr(verify, "_count_blocks", blocks)
+        full = verify.run_check("conjectureA", 5, cap=None)
+        assert [list(f.items()) for f in full.counterexamples] == [
+            [("w", str(Permutation(word))), ("re", br + 1), ("br", br)]
+            for word, br in moved.items()
+        ]
+        assert list(moved) == [(3, 1, 4, 5, 2), (3, 4, 5, 2, 1)]
+        equal = sum(ao == br for word, br, ao in two_level_walk(5) if word not in moved)
+        assert full.payload == {"equal": equal, "failure_count": 2}
+        capped = verify.run_check("conjectureA", 5, cap=1)
+        assert capped.counterexamples == full.counterexamples[:1]
+        assert capped.truncated and capped.payload == full.payload
 
     @pytest.mark.parametrize("moved", [-1, 1])
     @pytest.mark.parametrize("check", ["phi-surjective-iff", "hull-vs-standard"])
