@@ -9,7 +9,6 @@ from invlat.chromatic import (
     chromatic_identity_holds,
     chromatic_of,
     distance_poly,
-    opy_chromatic,
 )
 from invlat.lattice import (
     IntersectionLattice,
@@ -57,7 +56,6 @@ __all__ = [
     "is_chromobruhatic",
     "is_smooth",
     "mobius_values",
-    "opy_chromatic",
     "parse_permutation",
     "partition_text",
     "reduced_expression",

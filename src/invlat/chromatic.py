@@ -1,8 +1,7 @@
 """Chromatic polynomials of inversion graphs and their acyclic-orientation
 counts, both read off one colouring DP over the permutation's word; the
 inversion arrangement's Betti numbers, read off the chromatic polynomial;
-the smooth-permutation product formula; and the Bruhat-distance generating
-function identity."""
+and the Bruhat-distance generating function identity."""
 
 from __future__ import annotations
 
@@ -10,8 +9,7 @@ from math import factorial
 from typing import Sequence
 
 from invlat.bruhat import distances_from
-from invlat.patterns import is_smooth
-from invlat.permutation import InversionGraph, Permutation, opy_exponents
+from invlat.permutation import InversionGraph, Permutation
 
 
 class IntPoly:
@@ -211,14 +209,6 @@ def betti_numbers(chi: IntPoly) -> tuple[int, ...]:
     """
     low = next(d for d, c in enumerate(chi.coeffs) if c)
     return tuple(abs(c) for c in reversed(chi.coeffs[low:]))
-
-
-def opy_chromatic(w: Permutation) -> IntPoly:
-    """Product formula for the chromatic polynomial of a smooth permutation's
-    inversion graph: the product of (t - e_i) over the record exponents."""
-    if not is_smooth(w):
-        raise ValueError(f"{w} is not smooth (it contains 3412 or 4231)")
-    return IntPoly.from_roots(opy_exponents(w))
 
 
 def distance_poly(w: Permutation) -> IntPoly:

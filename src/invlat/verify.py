@@ -17,8 +17,9 @@ reads its bubble and hull counts off a second prefix walk, ``_hull_walk``.
 The chain checks (``phi-injective``, ``phi-surjective-iff``,
 ``going-down``) read the decreasing chains, each with its image under the
 chain map as ``bytes``, off the chain walk of ``invlat.lattice`` and build
-no lattice; a chain that breaks the chain map is reported as a
-counterexample (w, labels, reason).
+no lattice, and share one test per chain, a step down from the image of
+its suffix (``_phi_images``); a chain that breaks the chain map is
+reported as a counterexample (w, labels, reason).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from invlat.bruhat import (
     _dominated_sets,
     _grow,
-    _prefix_sets,
-    _word_leq,
     bruhat_leq,
     distances_from,
     interval_length_counts,
@@ -282,34 +281,60 @@ def _check_conjecture_b(n: int, expr: str) -> _Outcomes:
 
 def _phi_images(
     w: Permutation, expression: Optional[tuple[int, ...]] = None
-) -> tuple[Optional[dict], dict[bytes, tuple[int, ...]]]:
+) -> tuple[Optional[dict], Optional[dict], dict[tuple[int, ...], bytes]]:
     """Read every decreasing chain of w with its image under phi off the
-    chain walk, with no lattice.
+    chain walk, with no lattice, and test each chain against its suffix.
 
-    Each image is tested against w by Ehresmann's criterion, with w's
-    prefix sets read once.  Returns the first chain whose image is not
-    below w or repeats an earlier chain's image, as a counterexample (w,
-    labels, reason), or None; and the image words met, in chain order, each
-    with its chain's labels.  The images are keyed as the walk yields them,
-    as ``bytes``: turn them into tuples before looking up words of the
-    interval among them.
+    Dropping the smallest label of a decreasing chain C = (j_1, ..., j_m)
+    leaves a decreasing chain C' = (j_2, ..., j_m), as Björner's NBC sets
+    (1980) are closed under subsets: each top of C' is finer than C's top
+    at the same step, so each later t_(j_i) still joins two different
+    blocks, inside the two it joins in C, and every edge crossing them
+    crosses those, so j_i is still the largest index crossing them.  The
+    walk of C, w > t_(j_m) w > ... > p(C) w, is that of C' and one more
+    step, by t_(j_1) = (a b) with a < b, which swaps positions a and b and
+    goes strictly down exactly when image(C')[a] > image(C')[b]: each
+    chain's one test.  By induction every walk then descends, so every
+    image lies below w, at directed distance exactly m: a directed path of
+    k steps from u = p(C) w to w writes u w^-1 = p(C) as a product of k
+    reflections, so k is at least the absolute length of p(C), which is m,
+    as every label joins two different orbits; the walk, read upwards,
+    takes m steps.  The walk builds image(C) from C minus its largest
+    label, so that image(C) is image(C') with positions a and b swapped is
+    an invariant of the walk, which the tests check and this does not.
+
+    Returns ``(down, found, images)``: the first chain, in walk order,
+    whose suffix is not walked or whose step does not go down, and the
+    first that does either or repeats an earlier chain's image, each as a
+    counterexample (w, labels, reason), or None; and every chain's image
+    as the walk's ``bytes``, keyed by its labels in walk order.
     """
     expr = expression if expression is not None else reduced_expression(w)
-    sets = _prefix_sets(w)
-    images: dict[bytes, tuple[int, ...]] = {}
-    for labels, image, _ in _chain_walk(w, _hyperplanes(w, expr)):
+    hyperplanes = _hyperplanes(w, expr)
+    images = {labels: image for labels, image, _ in _chain_walk(w, hyperplanes)}
+    down = found = None
+    first: dict[bytes, tuple[int, ...]] = {}
+    for labels, image in images.items():
         reason = None
-        if not _word_leq(image, sets):
-            reason = f"image {format_one_line(image)} is not below w"
-        elif image in images:
+        if labels:
+            suffix = images.get(labels[1:])
+            a, b = hyperplanes[labels[0] - 1]
+            if suffix is None:
+                reason = f"the suffix {list(labels[1:])} is not a decreasing chain"
+            elif suffix[a - 1] < suffix[b - 1]:
+                reason = f"t{labels[0]} does not go down from {format_one_line(suffix)}"
+        if reason is not None:
+            down = down or {"w": str(w), "labels": list(labels), "reason": reason}
+        elif image in first:
             reason = (
                 f"image {format_one_line(image)} is also the image of the "
-                f"chain {list(images[image])}"
+                f"chain {list(first[image])}"
             )
-        if reason is not None:
-            return {"w": str(w), "labels": list(labels), "reason": reason}, images
-        images[image] = labels
-    return None, images
+        else:
+            first[image] = labels
+        if reason is not None and found is None:
+            found = {"w": str(w), "labels": list(labels), "reason": reason}
+    return down, found, images
 
 
 def _check_phi_injective(n: int, expr: str) -> _Outcomes:
@@ -317,7 +342,7 @@ def _check_phi_injective(n: int, expr: str) -> _Outcomes:
 
     def one(w: Permutation):
         for expression in [None] if canonical else all_reduced_expressions(w):
-            found, _ = _phi_images(w, expression)
+            _, found, _ = _phi_images(w, expression)
             if found is not None:
                 found["expression"] = "canonical" if canonical else list(expression)
                 return found, {}
@@ -339,12 +364,12 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
 
     def one(word, br, ao):
         w = Permutation(word)
-        found, images = _phi_images(w)
+        _, found, images = _phi_images(w)
         avoiding = is_chromobruhatic(w)
         if found is None:
             surjective = len(images) == br
             if surjective != avoiding:
-                missed = missed_elements(w, set(map(tuple, images)))
+                missed = missed_elements(w, set(map(tuple, images.values())))
                 found = {
                     "w": str(w),
                     "surjective": surjective,
@@ -356,35 +381,8 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
     return starmap(one, _count_walk(n))
 
 
-def _going_down_failure(w: Permutation) -> Optional[dict]:
-    """The first decreasing chain, labels j_1 < ... < j_m, whose walk
-    w > t_{j_m} w > t_{j_(m-1)} t_{j_m} w > ... fails to descend strictly
-    in Bruhat order, as a counterexample (w, labels, reason); None when
-    every walk descends.
-
-    Each walk ends at the chain's image u = p(C) w, which then lies at
-    directed distance exactly m from w, so no breadth-first search is
-    needed.  A directed path of k steps from u to w writes u w^-1 = p(C)
-    as a product of k reflections, so k is at least the absolute length of
-    p(C), which is m: every label of the chain walk joins two different
-    orbits.  The walk itself, read upwards, is such a path with m steps.
-    """
-    hyperplanes = _hyperplanes(w, reduced_expression(w))
-    for labels, _, _ in _chain_walk(w, hyperplanes):
-        current = list(w.word)
-        for j in reversed(labels):
-            a, b = hyperplanes[j - 1]
-            # With a < b, (a b) * x swaps positions a and b, and lies
-            # strictly below x exactly when x(a) > x(b).
-            if current[a - 1] < current[b - 1]:
-                reason = f"t{j} does not go down from {format_one_line(current)}"
-                return {"w": str(w), "labels": list(labels), "reason": reason}
-            current[a - 1], current[b - 1] = current[b - 1], current[a - 1]
-    return None
-
-
 def _check_going_down(n: int, expr: str) -> _Outcomes:
-    return map(lambda w: (_going_down_failure(w), {}), all_permutations(n))
+    return map(lambda w: (_phi_images(w)[0], {}), all_permutations(n))
 
 
 def _absolute_length(u: tuple[int, ...], w: tuple[int, ...]) -> int:

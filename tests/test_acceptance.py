@@ -15,14 +15,14 @@ import pytest
 from interval_oracle import filter_interval, hull_rows, ryser_permanent
 from invlat.bruhat import interval_size
 from invlat.chromatic import (
+    IntPoly,
     acyclic_orientations,
     chromatic_of,
-    opy_chromatic,
 )
 from invlat.cli import analyze
 from invlat.golden import compare
 from invlat.patterns import is_chromobruhatic, is_smooth
-from invlat.permutation import InversionGraph, Permutation
+from invlat.permutation import InversionGraph, Permutation, opy_exponents
 from invlat.verify import run_check
 from util import acyclic_orientations_brute, all_perms, region_count
 
@@ -112,7 +112,7 @@ def test_criterion_7_smooth_product_formula():
         if not is_smooth(w):
             continue
         smooth_count += 1
-        if opy_chromatic(w) != chromatic_of(w):
+        if IntPoly.from_roots(opy_exponents(w)) != chromatic_of(w):
             ok = False
             break
     elapsed = time.perf_counter() - started

@@ -187,17 +187,11 @@ class TestVerifyCommand:
         assert out.startswith("FAIL")
 
     @pytest.mark.parametrize(
-        "check, reason",
-        [
-            ("phi-injective", "image 3412 is not below w"),
-            ("phi-surjective-iff", "image 3412 is not below w"),
-            ("going-down", "t2 does not go down from 4132"),
-        ],
+        "check", ["phi-injective", "phi-surjective-iff", "going-down"]
     )
-    def test_chain_check_reports_image_not_below_w(
-        self, capsys, monkeypatch, check, reason
-    ):
-        # A counterexample and exit 1, not a traceback.
+    def test_chain_check_reports_image_not_below_w(self, capsys, monkeypatch, check):
+        # A counterexample and exit 1, not a traceback: the chain (2,) takes
+        # 4132 up to 4312, one step from its suffix, the empty chain.
         corrupt_second_hyperplane(monkeypatch)
         code, out, _ = run_cli(
             capsys, "verify", "--check", check, "--n", "4", "--format", "json"
@@ -206,8 +200,8 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["payload"]["failure_count"] == 1
         failure = report["counterexamples"][0]
-        assert failure["w"] == "4132" and failure["labels"] == [1, 2]
-        assert failure["reason"] == reason
+        assert failure["w"] == "4132" and failure["labels"] == [2]
+        assert failure["reason"] == "t2 does not go down from 4132"
 
     def test_reproducible_json(self, capsys):
         _, out1, _ = run_cli(

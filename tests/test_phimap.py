@@ -4,14 +4,21 @@ import random
 import pytest
 
 import invlat.verify
-from invlat.bruhat import bruhat_leq, distances_from, interval_size, missed_elements
+from invlat.bruhat import (
+    _prefix_sets,
+    _word_leq,
+    bruhat_leq,
+    distances_from,
+    interval_size,
+    missed_elements,
+)
 from invlat.cli import analyze
 from invlat.lattice import build_lattice
 from invlat.patterns import is_chromobruhatic
 from invlat.permutation import Permutation, all_reduced_expressions, format_one_line
-from invlat.verify import _going_down_failure, _phi_images
+from invlat.verify import _phi_images
 from lattice_oracle import blocks_of, canon, decreasing_chains
-from phi_oracle import going_down, phi
+from phi_oracle import going_down, going_down_failure, phi
 from util import all_perms, corrupt_second_hyperplane, interval
 
 W4132 = Permutation((4, 1, 3, 2))
@@ -105,9 +112,9 @@ def assert_matches_oracle(w: Permutation) -> None:
 
 
 def injective(w: Permutation, expression=None) -> bool:
-    """The chain checks' verdict: every image is below w and no two
-    chains share one."""
-    found, _ = _phi_images(w, expression)
+    """The chain checks' verdict: every chain steps down from its suffix,
+    so its image is below w, and no two chains share one."""
+    _, found, _ = _phi_images(w, expression)
     return found is None
 
 
@@ -115,9 +122,9 @@ def surjective(w: Permutation) -> tuple[bool, tuple[Permutation, ...]]:
     """Whether the images fill [e, w], by the elements they miss; the
     images come as ``bytes`` and are looked up as tuples of ints, the form
     of the interval's words."""
-    found, images = _phi_images(w)
+    _, found, images = _phi_images(w)
     assert found is None, found
-    missed = missed_elements(w, set(map(tuple, images)))
+    missed = missed_elements(w, set(map(tuple, images.values())))
     return not missed, missed
 
 
@@ -125,12 +132,47 @@ def assert_images_match_chains(lattice) -> None:
     """``_phi_images`` gives the labels and images of the chains of the
     lattice, built with w's canonical expression, in the same order, with
     each image as the ``bytes`` of the lattice's tuple."""
-    found, images = _phi_images(lattice.w)
-    assert found is None, found
-    assert all(type(image) is bytes for image in images)
-    assert [(labels, tuple(image)) for image, labels in images.items()] == [
+    down, found, images = _phi_images(lattice.w)
+    assert down is None and found is None, (down, found)
+    assert all(type(image) is bytes for image in images.values())
+    assert [(labels, tuple(image)) for labels, image in images.items()] == [
         (labels, image) for labels, image, _ in lattice.chains
     ]
+
+
+def assert_steps_from_suffixes(lattice) -> None:
+    """The facts the chain checks' test rests on, for every chain C of the
+    lattice with smallest label j and t_j = (a b), a < b: C minus j is a
+    chain of the lattice, its image x has x(a) > x(b), and C's image is x
+    with positions a and b swapped."""
+    images = {labels: image for labels, image, _ in lattice.chains}
+    for labels, image in images.items():
+        if not labels:
+            continue
+        suffix = images.get(labels[1:])
+        assert suffix is not None, (lattice.w, labels)
+        a, b = lattice.hyperplanes[labels[0] - 1]
+        swapped = list(suffix)
+        swapped[a - 1], swapped[b - 1] = suffix[b - 1], suffix[a - 1]
+        assert suffix[a - 1] > suffix[b - 1], (lattice.w, labels)
+        assert tuple(swapped) == image, (lattice.w, labels)
+
+
+def plant_in_walk(monkeypatch, edit) -> None:
+    """Make the chain checks read the chain walk's rows through ``edit``."""
+    real = invlat.verify._chain_walk
+
+    def walk(w, hyperplanes):
+        return edit(list(real(w, hyperplanes)))
+
+    monkeypatch.setattr(invlat.verify, "_chain_walk", walk)
+
+
+def give_1_3_the_image_of_1(rows):
+    """Give the chain (1, 3), which no chain has as its suffix, the image
+    of the chain (1,)."""
+    image = next(i for l, i, _ in rows if l == (1,))
+    return [(l, image if l == (1, 3) else i, o) for l, i, o in rows]
 
 
 class TestInjectivity:
@@ -154,20 +196,38 @@ class TestInjectivity:
                 assert injective(w, expr)
 
     def test_shared_image_is_reported(self, monkeypatch):
-        # The chain (1,) listed a second time shares its image.
-        real = invlat.verify._chain_walk
-
-        def walk_twice(w, hyperplanes):
-            rows = list(real(w, hyperplanes))
-            return rows + rows[1:2]
-
-        monkeypatch.setattr(invlat.verify, "_chain_walk", walk_twice)
-        found, _ = _phi_images(W4132)
+        # Every step still goes down, so going-down passes.
+        plant_in_walk(monkeypatch, give_1_3_the_image_of_1)
+        down, found, _ = _phi_images(W4132)
+        assert down is None
         assert found == {
             "w": "4132",
-            "labels": [1],
+            "labels": [1, 3],
             "reason": "image 1432 is also the image of the chain [1]",
         }
+
+
+class TestStepsFromSuffixes:
+    """The chain walk against the facts the chain checks' test rests on,
+    with each image also tested against w by Ehresmann's criterion."""
+
+    @staticmethod
+    def assert_certified(lattice):
+        assert_steps_from_suffixes(lattice)
+        sets = _prefix_sets(lattice.w)
+        for labels, image, _ in lattice.chains:
+            assert _word_leq(image, sets), (lattice.w, labels)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_canonical_expression(self, n):
+        for w in all_perms(n):
+            self.assert_certified(build_lattice(w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_reduced_expression(self, n):
+        for w in all_perms(n):
+            for expr in all_reduced_expressions(w):
+                self.assert_certified(build_lattice(w, expr))
 
 
 class TestSurjectivity:
@@ -206,14 +266,18 @@ class TestSurjectivity:
 
 class TestGoingDown:
     def test_identity(self):
-        assert _going_down_failure(Permutation.identity(2)) is None
+        down, _, _ = _phi_images(Permutation.identity(2))
+        assert down is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_exhaustive(self, n):
-        # The check tests strict descent alone; the breadth-first oracle
+        # The check tests one step per chain, from its suffix; the re-walk
+        # oracle walks every chain from w, and the breadth-first oracle
         # also tests that each image lies at distance m from w.
         for w in all_perms(n):
-            assert _going_down_failure(w) is None
+            down, _, _ = _phi_images(w)
+            assert down is None
+            assert going_down_failure(w) is None
             assert going_down(w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -230,13 +294,37 @@ class TestGoingDown:
             assert dist[image] == len(labels)
 
     def test_failed_descent_is_reported(self, monkeypatch):
-        # With H_2 read as (2 3), the chain (1, 2) first applies (2 3) to
-        # 4132, which swaps 1 and 3 upwards.
+        # With H_2 read as (2 3), the chain (2,) applies (2 3) to its
+        # suffix's image 4132, which swaps 1 and 3 upwards.  The re-walk
+        # meets that step first in the chain (1, 2), walked before (2,).
         corrupt_second_hyperplane(monkeypatch)
-        assert _going_down_failure(W4132) == {
+        down, found, _ = _phi_images(W4132)
+        assert down == found == {
+            "w": "4132",
+            "labels": [2],
+            "reason": "t2 does not go down from 4132",
+        }
+        assert going_down_failure(W4132) == {
             "w": "4132",
             "labels": [1, 2],
             "reason": "t2 does not go down from 4132",
+        }
+
+    def test_scan_goes_past_a_shared_image(self, monkeypatch):
+        corrupt_second_hyperplane(monkeypatch)
+        plant_in_walk(monkeypatch, give_1_3_the_image_of_1)
+        down, found, _ = _phi_images(W4132)
+        assert found["labels"] == [1, 3]
+        assert down["labels"] == [2]
+
+    def test_missing_suffix_is_reported(self, monkeypatch):
+        # Without the chain (2,), the chain (1, 2) has no suffix to step from.
+        plant_in_walk(monkeypatch, lambda rows: [r for r in rows if r[0] != (2,)])
+        down, found, _ = _phi_images(W4132)
+        assert down == found == {
+            "w": "4132",
+            "labels": [1, 2],
+            "reason": "the suffix [2] is not a decreasing chain",
         }
 
 

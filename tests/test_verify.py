@@ -104,22 +104,23 @@ class TestRunCheck:
         report = verify.run_check(check, 4)
         assert report.passed
 
-    def test_phi_injective_reads_prefix_sets_once_per_w(self, monkeypatch):
-        # The 3,651 images over S_5 are each tested against their w with
-        # its prefix sets read once for that w, so a read per image fails
-        # here.
+    def test_chain_checks_read_no_prefix_sets(self, monkeypatch):
+        # Each image is certified below w by its chain's step from its
+        # suffix, so no check tests an image against w's prefix sets.
         calls = []
-        real = verify._prefix_sets
+        real = bruhat._prefix_sets
 
         def counted(w):
             calls.append(w)
             return real(w)
 
-        for module in (verify, bruhat):
-            monkeypatch.setattr(module, "_prefix_sets", counted)
-        outcomes = list(verify._check_phi_injective(5, "canonical"))
-        assert all(failure is None for failure, _ in outcomes)
-        assert len(calls) == len(set(calls)) == 120
+        for name, module in list(sys.modules.items()):
+            if name.startswith("invlat") and hasattr(module, "_prefix_sets"):
+                monkeypatch.setattr(module, "_prefix_sets", counted)
+        for check in ("phi-injective", "phi-surjective-iff", "going-down"):
+            _, scan = verify.CHECKS[check]
+            assert all(failure is None for failure, _ in scan(5, "canonical"))
+        assert calls == []
 
     def test_conjecture_a_equal_count_at_n7(self):
         report = verify.run_check("conjectureA", 7)

@@ -223,7 +223,8 @@ def count_table(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
 def corrupt_second_hyperplane(monkeypatch) -> None:
     """Make the hyperplane order of 4132's reduced expression s1 s2 s3 s2
     read H_2 = (1 3) as (2 3): the chain (1, 2) then maps to
-    t1 (2 3) 4132 = 3412, which is not below 4132."""
+    t1 (2 3) 4132 = 3412, which is not below 4132, and the chain (2,) to
+    (2 3) 4132 = 4312, one step up from its suffix's image 4132."""
     real = invlat.lattice.reflection_sequence
 
     def corrupted(n, expression):
