@@ -305,19 +305,20 @@ def _phi_images(
 
     Returns ``(down, found, images)``: the first chain, in walk order,
     whose suffix is not walked or whose step does not go down, and the
-    first that does either or repeats an earlier chain's image, each as a
-    counterexample (w, labels, reason), or None; and every chain's image
-    as the walk's ``bytes``, keyed by its labels in walk order.
+    first that does either or repeats an earlier image (as a chain walked
+    twice does), each as a counterexample (w, labels, reason), or None;
+    and every chain's ``(labels, image)`` in walk order, image as ``bytes``.
     """
     expr = expression if expression is not None else reduced_expression(w)
     hyperplanes = _hyperplanes(w, expr)
-    images = {labels: image for labels, image, _ in _chain_walk(w, hyperplanes)}
+    images = [(labels, image) for labels, image, _ in _chain_walk(w, hyperplanes)]
+    by_labels = dict(images)
     down = found = None
     first: dict[bytes, tuple[int, ...]] = {}
-    for labels, image in images.items():
+    for labels, image in images:
         reason = None
         if labels:
-            suffix = images.get(labels[1:])
+            suffix = by_labels.get(labels[1:])
             a, b = hyperplanes[labels[0] - 1]
             if suffix is None:
                 reason = f"the suffix {list(labels[1:])} is not a decreasing chain"
@@ -369,7 +370,7 @@ def _check_phi_surjective_iff(n: int, expr: str) -> _Outcomes:
         if found is None:
             surjective = len(images) == br
             if surjective != avoiding:
-                missed = missed_elements(w, set(map(tuple, images.values())))
+                missed = missed_elements(w, {tuple(image) for _, image in images})
                 found = {
                     "w": str(w),
                     "surjective": surjective,

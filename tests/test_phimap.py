@@ -124,7 +124,7 @@ def surjective(w: Permutation) -> tuple[bool, tuple[Permutation, ...]]:
     of the interval's words."""
     _, found, images = _phi_images(w)
     assert found is None, found
-    missed = missed_elements(w, set(map(tuple, images.values())))
+    missed = missed_elements(w, {tuple(image) for _, image in images})
     return not missed, missed
 
 
@@ -134,8 +134,8 @@ def assert_images_match_chains(lattice) -> None:
     each image as the ``bytes`` of the lattice's tuple."""
     down, found, images = _phi_images(lattice.w)
     assert down is None and found is None, (down, found)
-    assert all(type(image) is bytes for image in images.values())
-    assert [(labels, tuple(image)) for labels, image in images.items()] == [
+    assert all(type(image) is bytes for _, image in images)
+    assert [(labels, tuple(image)) for labels, image in images] == [
         (labels, image) for labels, image, _ in lattice.chains
     ]
 
@@ -196,6 +196,18 @@ class TestInjectivity:
                 assert injective(w, expr)
 
     def test_shared_image_is_reported(self, monkeypatch):
+        # The chain (1,) listed a second time shares its image, and steps
+        # down from its suffix's like the first, so going-down passes.
+        plant_in_walk(monkeypatch, lambda rows: rows + rows[1:2])
+        down, found, _ = _phi_images(W4132)
+        assert down is None
+        assert found == {
+            "w": "4132",
+            "labels": [1],
+            "reason": "image 1432 is also the image of the chain [1]",
+        }
+
+    def test_image_shared_by_two_chains_is_reported(self, monkeypatch):
         # Every step still goes down, so going-down passes.
         plant_in_walk(monkeypatch, give_1_3_the_image_of_1)
         down, found, _ = _phi_images(W4132)
