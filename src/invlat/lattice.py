@@ -14,23 +14,25 @@ refer to elements by their index in ``IntersectionLattice.elements``, and
 ``partition_text`` turns an element into text only for printing.  Merging
 two blocks of an element gives one of its covers exactly when some
 inversion edge crosses them, and the cover's label is the largest
-hyperplane index among the crossing edges (``_merge_labeller``, which
-memoises it per block pair).  ``_chain_walk`` follows that rule along the
-decreasing chains alone, with no lattice, reading the memo first and
-computing a label only on a miss, and yields each chain with its image
-under the chain map, as ``bytes``, and its top as an ``owner`` tuple, the
-block bitmask of each point.  It is the
-lattice's only enumeration: every element tops at least one decreasing
-chain, so ``IntersectionLattice`` takes its elements from the distinct
-owners, each turned into an element once, and its covers from the same
-rule, checks that the covers of the tops are tops, and keeps each chain
-with its image as a tuple of ints.
+hyperplane index among the crossing edges.  The walk and the lattice both
+decide it from a block's entry, one int holding the block's points in its
+low n bits and, above them, bit n + i - 1 for every H_i with a point in
+the block: two distinct blocks share no point, so the AND of their entries
+holds exactly the hyperplanes that cross them, and its bit length, less n,
+is the label.  ``_chain_walk`` follows that rule along the decreasing
+chains alone, with no lattice, and yields each chain with its image under
+the chain map, as ``bytes``, and its top as an ``owner`` tuple, the entry
+of each point's block.  It is the lattice's only enumeration: every
+element tops at least one decreasing chain, so ``IntersectionLattice``
+takes its elements from the distinct owners, each stripped to its points
+once, and its covers from the same rule, checks that the covers of the
+tops are tops, and keeps each chain with its image as a tuple of ints.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from invlat.chromatic import chromatic_of
 from invlat.permutation import (
@@ -76,33 +78,6 @@ def _hyperplanes(
     return hyperplanes
 
 
-def _merge_labeller(
-    n: int, hyperplanes: Sequence[Transposition]
-) -> tuple[dict[int, int], Callable[[int, int], int]]:
-    """``(labels, merge_label)``: ``merge_label(a, b)`` is the label of
-    merging blocks a and b, the largest index of a hyperplane whose edge
-    crosses them, or 0 when none does, and it stores that label in
-    ``labels`` under the key ``a << n | b``.  A caller in a hot loop reads
-    ``labels`` first and calls ``merge_label`` only on a miss."""
-    edges = [(1 << (t.i - 1)) | (1 << (t.j - 1)) for t in hyperplanes]
-    labels: dict[int, int] = {}
-
-    def merge_label(a: int, b: int) -> int:
-        key = a << n | b
-        label = labels.get(key)
-        if label is None:
-            label = 0
-            for i in range(len(edges), 0, -1):
-                e = edges[i - 1]
-                if e & a and e & b:
-                    label = i
-                    break
-            labels[key] = label
-        return label
-
-    return labels, merge_label
-
-
 def _chain_walk(
     w: Permutation, hyperplanes: Sequence[Transposition]
 ) -> Iterator[tuple[tuple[int, ...], bytes, tuple[int, ...]]]:
@@ -112,52 +87,64 @@ def _chain_walk(
     lexicographically by label sequence.
 
     Decreasing in the hyperplane order H_1 > ... > H_k means the integer
-    labels strictly increase.  Appending j to a chain is a cover exactly
-    when t_j = (a b) joins two different blocks A and B of its top and j is
-    the largest index of a hyperplane crossing A and B, the rule the
-    lattice labels its covers by; the walk reads the label from
-    ``_merge_labeller``'s memo and computes it only on a miss.
-    ``owner[v - 1]`` is the bitmask of the block of point v in the chain's
-    top; listing the distinct blocks in point order gives the top as a
-    lattice element.  The image word is that of p(C) * w, where
-    p(C) = t_{j_1} ... t_{j_m}.  Each label swaps the values a and b of
-    p(C), so it swaps the values w(a) and w(b) of the image; a and b lie in
-    different cycles of p(C), so the cycles of p(C) are the blocks.  The
-    image is ``bytes``, byte i - 1 holding its value at i, and is yielded
-    as such; each label swaps its two values with one ``bytes.translate``
-    table.  The tables, and the steps with labels above each start, are
-    built once per w.  The walk keeps the chains still to visit on an
-    explicit stack, each chain's extensions pushed in descending label
-    order so that they pop ascending.
+    labels strictly increase.  ``owner[v - 1]`` is the entry of the block
+    of point v in the chain's top: its points in the low n bits, and bit
+    n + i - 1 for each H_i with a point in it.  Appending j to a chain is a
+    cover exactly when t_j = (a b) joins two different blocks A and B of
+    its top and j is the largest index of a hyperplane crossing A and B,
+    the rule the lattice labels its covers by.  H_j crosses them, so that
+    is one AND: the entries of A and B share no bit at n + j or above.  A
+    merge ORs the two entries, which unions points and hyperplanes at once;
+    listing the distinct entries in point order, each stripped to its
+    points, gives the top as a lattice element.  The image word is that of
+    p(C) * w, where p(C) = t_{j_1} ... t_{j_m}.  Each label swaps the
+    values a and b of p(C), so it swaps the values w(a) and w(b) of the
+    image; a and b lie in different cycles of p(C), so the cycles of p(C)
+    are the blocks.  The image is ``bytes``, byte i - 1 holding its value
+    at i, and is yielded as such; each label swaps its two values with one
+    ``bytes.translate`` table.  The tables, the singleton entries and the
+    steps with labels above each start are built once per w.  The walk
+    keeps the chains still to visit on an explicit stack, each chain's
+    extensions pushed in descending label order so that they pop
+    ascending.
     """
     n = w.n
-    memo, merge_label = _merge_labeller(n, hyperplanes)
+    full = (1 << n) - 1
     descending = [
-        (j, a - 1, b - 1, bytes.maketrans(bytes((w(a), w(b))), bytes((w(b), w(a)))))
+        (
+            j,
+            1 << (n + j),
+            a - 1,
+            b - 1,
+            bytes.maketrans(bytes((w(a), w(b))), bytes((w(b), w(a)))),
+        )
         for j, (a, b) in reversed(list(enumerate(hyperplanes, 1)))
     ]
     # after[start] lists the steps with labels above ``start``, descending.
     k = len(descending)
     after = [descending[: k - start] for start in range(k + 1)]
+    # Each point's entry before any merge; H_i's bit is n + i - 1.
+    singletons = [1 << v for v in range(n)]
+    for i, (a, b) in enumerate(hyperplanes, n):
+        singletons[a - 1] |= 1 << i
+        singletons[b - 1] |= 1 << i
 
-    stack = [((), bytes(w.word), tuple(1 << v for v in range(n)), 0)]
+    stack = [((), bytes(w.word), tuple(singletons), 0)]
     while stack:
         labels, image, owner, start = stack.pop()
         yield labels, image, owner
-        for j, a, b, swap in after[start]:
+        for j, bound, a, b, swap in after[start]:
             block_a, block_b = owner[a], owner[b]
-            if block_a == block_b:
-                continue
-            label = memo.get(block_a << n | block_b)
-            if label is None:
-                label = merge_label(block_a, block_b)
-            if label == j:
+            # A block ANDed with itself keeps all its hyperplanes, H_j among
+            # them, so the bound alone would take a step inside one block.
+            if block_a != block_b and block_a & block_b < bound:
                 merged = block_a | block_b
+                points = merged & full
                 stack.append(
                     (
                         labels + (j,),
                         image.translate(swap),
-                        tuple([merged if o & merged else o for o in owner]),
+                        tuple([merged if o & points else o for o in owner]),
                         j,
                     )
                 )
@@ -174,13 +161,14 @@ class IntersectionLattice:
     order, as ``_chain_walk`` yields them: the image is the chain map's
     p(C) * w, turned from the walk's ``bytes`` into a tuple of ints, the
     form of the interval's words, which ``cli.analyze`` tests against w and
-    looks the missed elements up in.  The walk gives each
-    chain's top as its ``owner`` tuple; each distinct owner is turned into
-    its element once, and chains with the same top share that element's
-    index.  ``elements`` holds the distinct chain tops sorted by rank, then
-    by their blocks' points, so the bottom is ``elements[0]``;
+    looks the missed elements up in.  The walk gives each chain's top as
+    its ``owner`` tuple of block entries; each distinct owner is stripped
+    to its blocks' points once, and chains with the same top share that
+    element's index.  ``elements`` holds the distinct chain tops sorted by
+    rank, then by their blocks' points, so the bottom is ``elements[0]``;
     ``covers_up[k]`` lists the sorted (index, label) pairs of the covers of
-    ``elements[k]``.
+    ``elements[k]``, each label read off the AND of the two merged blocks'
+    entries, which the owners supply.
 
     Every element of a geometric lattice has |mu(bottom, x)| >= 1 (Rota
     1964), and the decreasing chains ending at x number |mu(bottom, x)|
@@ -195,9 +183,14 @@ class IntersectionLattice:
         self.w = w
         self.hyperplanes = _hyperplanes(w, expression)
         chains = list(_chain_walk(w, self.hyperplanes))
+        full = (1 << n) - 1
         # Listing an owner's distinct blocks in point order puts them in the
         # element's order, by smallest point; each distinct owner is read once.
-        tops = {owner: tuple(dict.fromkeys(owner)) for owner in {c[2] for c in chains}}
+        tops = {
+            owner: tuple(dict.fromkeys(o & full for o in owner))
+            for owner in {c[2] for c in chains}
+        }
+        entry = {o & full: o for owner in tops for o in owner}
         self.elements: tuple[tuple[int, ...], ...] = tuple(
             sorted(
                 tops.values(),
@@ -211,15 +204,16 @@ class IntersectionLattice:
         )
 
         # Blocks stay ordered by their smallest points: merging blocks i < j
-        # puts a | b at i, as it keeps a's smallest point.
-        _, merge_label = _merge_labeller(n, self.hyperplanes)
+        # puts a | b at i, as it keeps a's smallest point.  The label is the
+        # largest hyperplane the two blocks' entries share, 0 when none does.
         covers_up = []
         for x in self.elements:
             ups = []
             for i, a in enumerate(x):
+                entry_a = entry[a]
                 for j in range(i + 1, len(x)):
                     b = x[j]
-                    label = merge_label(a, b)
+                    label = ((entry_a & entry[b]) >> n).bit_length()
                     if label:
                         y = x[:i] + (a | b,) + x[i + 1 : j] + x[j + 1 :]
                         k = position.get(y)

@@ -1,8 +1,8 @@
 """The retired join-closure construction of the bond lattice, the
-O(|L|^2) Mobius recursion, the lattice's rank sums of |mu| and the
-depth-first search for decreasing chains along a built lattice's covers,
-kept as independent oracles for ``invlat.lattice`` and
-``chromatic.betti_numbers``.
+O(|L|^2) Mobius recursion, the lattice's rank sums of |mu|, the
+depth-first search for decreasing chains along a built lattice's covers
+and the retired edge scan for a merge's label, kept as independent oracles
+for ``invlat.lattice`` and ``chromatic.betti_numbers``.
 
 A partition is a canonical tuple of sorted blocks, e.g. ((1, 2), (3,)), and
 ``blocks_of`` reads a library element, a tuple of block bitmasks, in that
@@ -73,6 +73,19 @@ def join(n: int, p: Blocks, q: Blocks) -> Blocks:
 def refines(p: Blocks, q: Blocks) -> bool:
     idx = block_index(q)
     return all(idx[b[0]] == idx[v] for b in p for v in b[1:])
+
+
+def max_crossing_label(hyperplanes, a: int, b: int) -> int:
+    """The label of merging the disjoint blocks with bitmasks a and b: the
+    largest index i whose H_i has a point in each, or 0 when none does.
+    Scans the edges from the last one down, as the library did before it
+    read labels off its block entries."""
+    for i in range(len(hyperplanes), 0, -1):
+        c, d = hyperplanes[i - 1]
+        edge = (1 << (c - 1)) | (1 << (d - 1))
+        if edge & a and edge & b:
+            return i
+    return 0
 
 
 def _label(hyperplanes, lower: Blocks, upper: Blocks) -> int:

@@ -13,11 +13,13 @@ from invlat.permutation import (
     Permutation,
     Transposition,
     all_reduced_expressions,
+    evaluate_word,
     reduced_expression,
 )
 from lattice_oracle import (
     blocks_of,
     decreasing_chains,
+    max_crossing_label,
     oracle_lattice,
     oracle_mobius,
     rank_betti,
@@ -116,11 +118,11 @@ def assert_walk_matches_cover_dfs(lattice):
     in the same order, each with its image t_{j_1} ... t_{j_m} * w and its
     top element.  (a b) * x swaps positions a and b of x, so the image
     takes w through the labels from the last one back.  The walk gives the
-    top as its owner tuple: ``owner[v - 1]`` must be the block of the DFS
-    element that holds point v.  The walk yields each image as ``bytes``;
-    the lattice must keep it as a tuple of ints, as ``cli.analyze`` looks
-    the interval's words up among the images and a ``bytes`` image would
-    match none of them."""
+    top as its owner tuple: ``owner[v - 1]``, stripped to its low n bits,
+    must be the block of the DFS element that holds point v.  The walk
+    yields each image as ``bytes``; the lattice must keep it as a tuple of
+    ints, as ``cli.analyze`` looks the interval's words up among the images
+    and a ``bytes`` image would match none of them."""
     expected = []
     for path, labels in decreasing_chains(lattice):
         word = list(lattice.w.word)
@@ -132,10 +134,12 @@ def assert_walk_matches_cover_dfs(lattice):
     assert [(labels, word) for labels, word, _ in walked] == [
         (labels, bytes(word)) for labels, word, _ in expected
     ]
+    full = (1 << lattice.w.n) - 1
     for (_, word, owner), (_, _, top) in zip(walked, expected):
         assert type(word) is bytes
         assert len(owner) == lattice.w.n
-        for v, block in enumerate(owner, 1):
+        for v, entry in enumerate(owner, 1):
+            block = entry & full
             assert block in top and block >> (v - 1) & 1
     kept = [(labels, word, lattice.elements[k]) for labels, word, k in lattice.chains]
     assert kept == expected
@@ -193,38 +197,6 @@ class TestDecreasingChains:
             for expr in all_reduced_expressions(w):
                 assert_walk_matches_cover_dfs(build_lattice(w, expr))
 
-    def test_each_block_pair_is_labelled_once(self, monkeypatch):
-        # The walk reads the memo first, so it computes each label once: as
-        # many merge_label calls as memo entries, and fewer than the
-        # candidate steps, which join two different blocks.
-        real = invlat.lattice._merge_labeller
-        made = []
-
-        def counting(n, hyperplanes):
-            memo, merge_label = real(n, hyperplanes)
-            calls = []
-
-            def counted(a, b):
-                calls.append((a, b))
-                return merge_label(a, b)
-
-            made.append((memo, calls))
-            return memo, counted
-
-        monkeypatch.setattr(invlat.lattice, "_merge_labeller", counting)
-        total = candidates = 0
-        for w in all_perms(5):
-            made.clear()
-            hyperplanes = invlat.lattice._hyperplanes(w, reduced_expression(w))
-            for labels, _, owner in _chain_walk(w, hyperplanes):
-                start = labels[-1] if labels else 0
-                for a, b in hyperplanes[start:]:
-                    candidates += owner[a - 1] != owner[b - 1]
-            ((memo, calls),) = made
-            assert len(calls) == len(set(calls)) == len(memo), w
-            total += len(calls)
-        assert 0 < total < candidates
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_chain_count_is_orientation_count(self, n):
         for w in all_perms(n):
@@ -239,6 +211,60 @@ class TestDecreasingChains:
                 for expr in all_reduced_expressions(w)
             }
             assert len(counts) == 1
+
+
+def assert_entries_hold_incidences(lattice):
+    """Every block entry the walk gives holds, above its points, the bit
+    n + i - 1 of each H_i with a point in the block, and no other."""
+    n = lattice.w.n
+    full = (1 << n) - 1
+    for _, _, owner in walk(lattice):
+        for entry in owner:
+            incident = 0
+            for i, (a, b) in enumerate(lattice.hyperplanes, 1):
+                if entry >> (a - 1) & 1 or entry >> (b - 1) & 1:
+                    incident |= 1 << (n + i - 1)
+            assert entry == entry & full | incident, (lattice.w, bin(entry))
+
+
+def assert_labels_match_edge_scan(lattice):
+    """Each element's covers are the merges of two blocks that the edge
+    scan labels, each with that label, and no merge the scan labels 0."""
+    position = {x: k for k, x in enumerate(lattice.elements)}
+    for x, ups in zip(lattice.elements, lattice.covers_up):
+        expected = []
+        for i, a in enumerate(x):
+            for j in range(i + 1, len(x)):
+                label = max_crossing_label(lattice.hyperplanes, a, x[j])
+                if label:
+                    y = x[:i] + (a | x[j],) + x[i + 1 : j] + x[j + 1 :]
+                    expected.append((position[y], label))
+        assert ups == tuple(sorted(expected)), (lattice.w, x)
+
+
+def edge_scan_cases():
+    """Every w of S_1..S_6 on its canonical expression, every reduced
+    expression of S_4, and 40 seeded w at n = 9..12, each a product of 12
+    simple transpositions and so of length at most 12."""
+    for n in range(1, 7):
+        for w in all_perms(n):
+            yield w, reduced_expression(w)
+    for w in all_perms(4):
+        for expr in all_reduced_expressions(w):
+            yield w, expr
+    for n in range(9, 13):
+        rng = random.Random(n)
+        for _ in range(10):
+            w = evaluate_word(n, [rng.randrange(1, n) for _ in range(12)])
+            yield w, reduced_expression(w)
+
+
+class TestBlockEntries:
+    def test_entries_and_labels_match_edge_scan(self):
+        for w, expr in edge_scan_cases():
+            lattice = build_lattice(w, expr)
+            assert_entries_hold_incidences(lattice)
+            assert_labels_match_edge_scan(lattice)
 
 
 def _count_increasing_chains(lattice, blocks, lower, upper):
@@ -319,9 +345,14 @@ class TestMobiusAndBetti:
         real = invlat.lattice._chain_walk
 
         def lossy(w, hyperplanes):
-            # The walk gives a chain's top as the block of each point.
+            # The walk gives a chain's top as the entry of each point's
+            # block, whose low 4 bits are the block's points.
             lost = (0b1101, 0b0010, 0b1101, 0b1101)
-            return (c for c in real(w, hyperplanes) if c[2] != lost)
+            return (
+                c
+                for c in real(w, hyperplanes)
+                if tuple(o & 0b1111 for o in c[2]) != lost
+            )
 
         monkeypatch.setattr(invlat.lattice, "_chain_walk", lossy)
         with pytest.raises(RuntimeError, match=r"134\|2 covers 1\|2\|34 but tops no"):
